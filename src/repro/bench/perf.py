@@ -41,6 +41,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.bench.experiments import pagefault_micro
 from repro.bench.runner import run_point
+from repro.knobs import resolve as resolve_knobs
 from repro.sim.engine import Engine
 
 #: pre-refactor (pre-DexSpeed) reference, measured on the commit preceding
@@ -94,9 +95,11 @@ def measure_dispatch_storm(
 ) -> Dict[str, float]:
     """Pure scheduler throughput: *procs* chains of timeout yields."""
     per_proc = events // procs
+    knobs = resolve_knobs()
 
     def one_run() -> int:
-        engine = Engine(seed=1)
+        engine = Engine(seed=1, fastlane=knobs.engine_fastlane,
+                        inline=knobs.engine_inline)
 
         def chain(n: int = per_proc):
             for _ in range(n):
@@ -151,7 +154,7 @@ def run_perf(quick: bool = False, repeats: Optional[int] = None) -> Dict[str, Di
     sweep fits in CI seconds (its numbers only compare against other quick
     runs)."""
     if repeats is None:
-        repeats = int(os.environ.get("DEX_BENCH_REPEATS", "2" if quick else "3"))
+        repeats = 2 if quick else 3
     points: Dict[str, Dict] = {}
     if quick:
         points["dispatch_storm"] = measure_dispatch_storm(

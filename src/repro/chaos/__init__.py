@@ -12,8 +12,9 @@ The subsystem has three pieces:
 * ``python -m repro.chaos`` — the harness: runs any Figure-2 application
   under a scenario (sanitizer on) and checks end-to-end correctness.
 
-**Zero cost when off.**  Chaos is enabled only when ``SimParams.chaos`` /
-``DEX_CHAOS`` or an explicit scenario says so; otherwise the cluster keeps
+**Zero cost when off.**  Chaos is enabled only when the ``chaos`` knob
+(``SimParams.chaos`` / ``DEX_CHAOS``, see :mod:`repro.knobs`) or an
+explicit scenario says so; otherwise the cluster keeps
 ``chaos=None`` and every hot-path hook is a single ``is None`` test, the
 transport takes its original non-retrying path, and sim time is
 bit-identical to a build without the subsystem.
@@ -21,7 +22,6 @@ bit-identical to a build without the subsystem.
 
 from __future__ import annotations
 
-import os
 from typing import TYPE_CHECKING, Optional
 
 from repro.chaos.controller import ChaosController, ThreadHalt
@@ -37,7 +37,6 @@ __all__ = [
     "ChaosRunReport",
     "ChaosScenario",
     "ThreadHalt",
-    "resolve_chaos_mode",
     "resolve_scenario",
     "run_pagefault_micro",
     "run_under_chaos",
@@ -56,34 +55,16 @@ def __getattr__(name: str):
         return getattr(harness, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
-_OFF = frozenset({"", "0", "off", "none", "false", "no"})
-_ON = frozenset({"1", "on", "true", "yes"})
 
-
-def resolve_chaos_mode(setting: Optional[str]) -> Optional[str]:
-    """Resolve a chaos setting against the ``DEX_CHAOS`` env var.
-
-    ``None`` defers to the environment.  Off-values return ``None``; an
-    on-value returns the normalized flag; anything else is treated as a
-    path to a scenario JSON file and returned verbatim.
-    """
-    if setting is None:
-        setting = os.environ.get("DEX_CHAOS", "")
-    text = setting.strip()
-    if text.lower() in _OFF:
-        return None
-    if text.lower() in _ON:
-        return "on"
-    return text
-
-
-def resolve_scenario(params: "SimParams") -> Optional[ChaosScenario]:
+def resolve_scenario(
+    params: "SimParams", mode: Optional[str]
+) -> Optional[ChaosScenario]:
     """The scenario to run under, or ``None`` when chaos is off.
 
     An explicit ``SimParams.chaos_scenario`` object wins; otherwise the
-    ``chaos`` setting (or ``DEX_CHAOS``) either turns on an empty scenario
-    (faults can still come from programmatic rules added later) or names a
-    scenario JSON file to load.
+    resolved chaos knob *mode* (see :mod:`repro.knobs`) either turns on an
+    empty scenario (faults can still come from programmatic rules added
+    later) or names a scenario JSON file to load.
     """
     if params.chaos_scenario is not None:
         scenario = params.chaos_scenario
@@ -92,7 +73,6 @@ def resolve_scenario(params: "SimParams") -> Optional[ChaosScenario]:
                 f"chaos_scenario must be a ChaosScenario, got {type(scenario).__name__}"
             )
         return scenario.validate()
-    mode = resolve_chaos_mode(params.chaos)
     if mode is None:
         return None
     if mode == "on":

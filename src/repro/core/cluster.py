@@ -29,9 +29,9 @@ from typing import Any, Callable, Dict, Generator, List, Optional
 from repro.chaos import ChaosController, resolve_scenario
 from repro.core.errors import DexError
 from repro.core.process import DexProcess
+from repro.knobs import Knobs, resolve as resolve_knobs
 from repro.net.fabric import Network
 from repro.net.messages import Message, MsgType
-from repro.obs import resolve_lens_mode, resolve_scope_mode, resolve_trace_mode
 from repro.obs.lens import DexLens
 from repro.obs.scope import DexScope
 from repro.obs.tracing import Tracer
@@ -57,45 +57,25 @@ class DexCluster:
     """A rack of nodes connected by the simulated InfiniBand fabric, with
     the DeX kernel extension 'loaded' on every node."""
 
-    def __init__(
-        self,
-        num_nodes: int = 8,
-        params: Optional[SimParams] = None,
-        directory: Optional[str] = None,
-        trace: Optional[Any] = None,
-        chaos: Optional[Any] = None,
-    ):
+    def __init__(self, num_nodes: int = 8, params: Optional[SimParams] = None):
         self.params = params if params is not None else SimParams()
-        if directory is not None:
-            # convenience knob: select the coherence-directory backend
-            # ("origin" | "sharded") without hand-building SimParams
-            self.params = self.params.copy(directory=directory)
-        if trace is not None:
-            # convenience knob: DexCluster(trace=True) / trace="spans"
-            self.params = self.params.copy(
-                trace=trace if isinstance(trace, str) else ("1" if trace else "")
-            )
-        if chaos is not None:
-            # convenience knob: DexCluster(chaos=ChaosScenario(...)) or
-            # chaos="scenario.json" / chaos=True
-            if isinstance(chaos, str):
-                self.params = self.params.copy(chaos=chaos)
-            elif chaos is True:
-                self.params = self.params.copy(chaos="on")
-            else:
-                self.params = self.params.copy(chaos_scenario=chaos)
-        scenario = resolve_scenario(self.params)
+        #: every DEX_* switch, resolved once for the whole cluster
+        self.knobs: Knobs = resolve_knobs(self.params)
+        scenario = resolve_scenario(self.params, self.knobs.chaos)
         seed = self.params.seed
         if seed is None and scenario is not None and scenario.seed is not None:
             seed = scenario.seed
-        self.engine = Engine(seed=0 if seed is None else seed)
+        self.engine = Engine(
+            seed=0 if seed is None else seed,
+            fastlane=self.knobs.engine_fastlane,
+            inline=self.knobs.engine_inline,
+        )
         #: the repro.obs span tracer, or None when tracing is off (the
         #: common case — instrumented code then costs one None check).
         #: DexLens rides on span closes, so turning it on implies a tracer
-        lens_on = resolve_lens_mode(self.params.lens)
         self.tracer: Optional[Tracer] = (
             Tracer(self.engine, max_spans=self.params.trace_max_spans)
-            if resolve_trace_mode(self.params.trace) or lens_on
+            if self.knobs.trace or self.knobs.lens
             else None
         )
         #: the fault-injection controller, or None when chaos is off (the
@@ -105,7 +85,8 @@ class DexCluster:
             if scenario is not None
             else None
         )
-        self.net = Network(self.engine, num_nodes, self.params, chaos=self.chaos)
+        self.net = Network(self.engine, num_nodes, self.params, chaos=self.chaos,
+                           freelist=self.knobs.msg_freelist)
         self.nodes: List[DexNode] = [
             DexNode(self.engine, n, self.params) for n in range(num_nodes)
         ]
@@ -114,13 +95,13 @@ class DexCluster:
         #: lens is off — with it off nothing subscribes to the tracer and
         #: the sink lists stay empty
         self.lens: Optional[DexLens] = (
-            DexLens(self, self.tracer) if lens_on else None
+            DexLens(self, self.tracer) if self.knobs.lens else None
         )
         #: the DexScope time-series sampler (repro.obs.scope), or None when
         #: telemetry is off — with it off the engine never fires a sampler
         #: and the fabric's wire path skips its timing reads
         self.scope: Optional[DexScope] = (
-            DexScope(self) if resolve_scope_mode(self.params.scope) else None
+            DexScope(self) if self.knobs.scope else None
         )
         self._register_handlers()
         if self.chaos is not None:

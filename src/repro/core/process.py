@@ -117,8 +117,8 @@ class DexProcess:
         self.futex = FutexTable(self)
         self.vma_sync = VmaSync(self)
         self.files = FileService(self)
-        #: the repro.check dynamic checkers (None unless DEX_SANITIZE /
-        #: SimParams.sanitize enables them); every instrumentation site
+        #: the repro.check dynamic checkers (None unless the cluster's
+        #: sanitize knob enables them); every instrumentation site
         #: in the fault/protocol/futex layers guards on these
         self.sanitizer, self.deadlocks = make_sanitizers(self)
 

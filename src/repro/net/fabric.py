@@ -21,7 +21,6 @@ from typing import Dict, Generator, List, Optional, Tuple
 
 from repro.core.errors import NodeFailedError
 from repro.net import rdma
-from repro.net import messages as _messages
 from repro.net.buffers import BufferPool, RdmaSink
 from repro.net.messages import Message, MsgType, recycle_message
 from repro.net.retry import backoff_delay, timeout_base_us
@@ -72,6 +71,7 @@ class Network:
 
     def __init__(
         self, engine: Engine, num_nodes: int, params: SimParams, chaos=None,
+        freelist: bool = True,
     ):
         if num_nodes < 1:
             raise ValueError(f"need at least one node, got {num_nodes}")
@@ -103,10 +103,11 @@ class Network:
         self.messages_sent = 0
         self.page_payloads = 0
         self.loopback_deliveries = 0
-        #: message-freelist recycling is only sound when no other component
-        #: retains message objects: the reliable transport (chaos runs)
-        #: retransmits requests and caches replies, so it closes the gate
-        self._recycle = _messages.FREELIST_DEFAULT and chaos is None
+        #: message-freelist recycling (the cluster's msg_freelist knob) is
+        #: only sound when no other component retains message objects: the
+        #: reliable transport (chaos runs) retransmits requests and caches
+        #: replies, so it closes the gate
+        self._recycle = freelist and chaos is None
 
     def connection(self, src: int, dst: int) -> Connection:
         try:

@@ -10,9 +10,9 @@ Allocation discipline
 ---------------------
 :class:`Message` is a ``slots=True`` dataclass, and the hot protocol paths
 recycle message objects through a bounded freelist
-(:func:`obtain_message` / :func:`recycle_message`, knob
-``DEX_MSG_FREELIST``).  Obtaining from the freelist is always safe; the
-*recycling* side is only reachable from well-defined death points:
+(:func:`obtain_message` / :func:`recycle_message`; the ``msg_freelist``
+knob in :mod:`repro.knobs`).  Obtaining from the freelist is always safe;
+the *recycling* side is only reachable from well-defined death points:
 
 * a request message dies when its correlated reply arrives at the
   requester — handlers must never retain a request past posting its
@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import enum
 import itertools
-import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
@@ -184,16 +183,6 @@ class Message:
 # ----------------------------------------------------------------------
 # bounded freelist
 # ----------------------------------------------------------------------
-
-def _env_knob(name: str, default: bool) -> bool:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    return raw.strip().lower() not in ("0", "false", "off", "no", "")
-
-
-#: process-wide default; Engine/Network tests can override per instance
-FREELIST_DEFAULT = _env_knob("DEX_MSG_FREELIST", True)
 
 #: parked messages never exceed this (a rack sim has bounded in-flight
 #: traffic; anything beyond the cap is left to the garbage collector)

@@ -135,18 +135,13 @@ class SimParams:
     home_lookup_cost: float = 1.2
 
     # ---- correctness checking (see repro.check) --------------------------
-    #: dynamic-checker selection: "" off, "race" (coherence sanitizer),
-    #: "deadlock" (wait-for detector), "1"/"all" for both.  None defers to
-    #: the DEX_SANITIZE environment variable (how CI turns it on without
-    #: touching every SimParams construction).
+    #: dynamic checkers: "race" (coherence sanitizer), "deadlock" (wait-for
+    #: detector) or "all"; a knob (repro.knobs, DESIGN.md "Knobs")
     sanitize: Optional[str] = None
 
     # ---- fault injection & recovery (see repro.chaos) --------------------
-    #: chaos selection: "" off, "1"/"on" on (empty scenario unless
-    #: `chaos_scenario` is set), or a path to a scenario JSON file.  None
-    #: defers to the DEX_CHAOS environment variable; when off no controller
-    #: exists, the transport keeps its untimed request path, and sim time
-    #: is bit-identical to a build without the subsystem
+    #: fault injection: on (an empty scenario unless `chaos_scenario` is
+    #: set) or a scenario JSON path; a knob (repro.knobs, DESIGN.md "Knobs")
     chaos: Optional[str] = None
     #: programmatic scenario (a repro.chaos.ChaosScenario); takes precedence
     #: over a scenario file named by `chaos`
@@ -175,18 +170,14 @@ class SimParams:
     lease_check_us: float = 150.0
 
     # ---- observability (see repro.obs) -----------------------------------
-    #: causal span tracing: "" off, "1"/"spans" on.  None defers to the
-    #: DEX_TRACE environment variable (same scheme as `sanitize`); when off
-    #: no tracer exists and instrumented paths reduce to a None check
+    #: causal span tracing; a knob (repro.knobs, DESIGN.md "Knobs")
     trace: Optional[str] = None
     #: span-recording cap per tracer; further spans are counted as dropped
     trace_max_spans: int = 1_000_000
 
     # ---- online analytics (see repro.obs.lens — DexLens) ------------------
-    #: streaming trace analytics: "" off, "1"/"on" on.  None defers to the
-    #: DEX_LENS environment variable.  Turning the lens on implies a tracer
-    #: (it subscribes to span closes); with it off no lens object exists and
-    #: nothing beyond the tracer's empty sink list is ever touched
+    #: streaming trace analytics, implies a tracer; a knob (repro.knobs,
+    #: DESIGN.md "Knobs")
     lens: Optional[str] = None
     #: sliding sim-time window for the heat statistics (fault rate, owner
     #: churn, ping-pong pairs), and its slice count (decay granularity)
@@ -206,10 +197,7 @@ class SimParams:
     lens_dump_path: Optional[str] = None
 
     # ---- time-series telemetry (see repro.obs.scope — DexScope) -----------
-    #: periodic utilization sampling: "" off, "1"/"on" on.  None defers to
-    #: the DEX_SCOPE environment variable.  When off no sampler exists and
-    #: the engine's only obligation is one float compare against +inf per
-    #: dispatch; instrumented fabric paths guard on `net.scope is None`
+    #: periodic utilization sampling; a knob (repro.knobs, DESIGN.md "Knobs")
     scope: Optional[str] = None
     #: sim-time between utilization samples (the grid the sampler fires on)
     scope_interval_us: float = 500.0

@@ -72,10 +72,17 @@ class ServeManager:
         base = base.copy(seed=seed)
         if scope:
             base = base.copy(scope="1")
-        self.cluster = DexCluster(
-            num_nodes=num_nodes, params=base, directory=directory,
-            trace=trace, chaos=chaos,
-        )
+        if directory is not None:
+            base = base.copy(directory=directory)
+        if trace is not None:
+            base = base.copy(
+                trace=trace if isinstance(trace, str) else ("1" if trace else "")
+            )
+        if chaos is True or isinstance(chaos, str):
+            base = base.copy(chaos="on" if chaos is True else chaos)
+        elif chaos is not None:
+            base = base.copy(chaos_scenario=chaos)
+        self.cluster = DexCluster(num_nodes=num_nodes, params=base)
         for spec in specs:
             bad = [n for n in spec.nodes if not 0 <= n < num_nodes]
             if bad:

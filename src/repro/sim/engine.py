@@ -33,19 +33,11 @@ pass.
 from __future__ import annotations
 
 import heapq
-import os
 from collections import deque
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
 _UNSET = object()
 _INF = float("inf")
-
-
-def _env_knob(name: str, default: bool) -> bool:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    return raw.strip().lower() not in ("", "0", "off", "false", "no")
 
 
 class SimulationError(Exception):
@@ -414,9 +406,10 @@ class Engine:
         assert eng.now == 5.0 and proc.value == "done"
 
     ``fastlane`` and ``inline`` select the same-time FIFO fast lane and
-    the inline-resume optimisation; both default from the environment
-    (``DEX_ENGINE_FASTLANE`` / ``DEX_ENGINE_INLINE``, default on) and both
-    are verified order-preserving by the determinism differential tests.
+    the inline-resume optimisation; both default on (a DexCluster passes
+    its ``engine_fastlane`` / ``engine_inline`` knobs, see
+    :mod:`repro.knobs`) and both are verified order-preserving by the
+    determinism differential tests.
     """
 
     __slots__ = (
@@ -447,8 +440,8 @@ class Engine:
     def __init__(
         self,
         seed: int = 0,
-        fastlane: Optional[bool] = None,
-        inline: Optional[bool] = None,
+        fastlane: bool = True,
+        inline: bool = True,
     ) -> None:
         self.now: float = 0.0
         self._queue: List[list] = []
@@ -486,12 +479,8 @@ class Engine:
         #: the repro.obs Tracer attached to this engine, or None (tracing
         #: off); instrumented code guards on this single attribute
         self.tracer: Optional[Any] = None
-        self._fastlane_on = (
-            _env_knob("DEX_ENGINE_FASTLANE", True) if fastlane is None else fastlane
-        )
-        self._inline = (
-            _env_knob("DEX_ENGINE_INLINE", True) if inline is None else inline
-        )
+        self._fastlane_on = fastlane
+        self._inline = inline
         #: total dispatches across all run() calls (perf accounting)
         self.events_dispatched = 0
 

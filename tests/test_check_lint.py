@@ -1,15 +1,20 @@
-"""The repo-specific lint pass: the repo itself must be clean, and each
-fixture must trip exactly its intended rule (with a location)."""
+"""The seven legacy per-file lint rules (run by ``python -m repro.vet``):
+the repo itself must be clean, and each fixture must trip exactly its
+intended rule (with a location)."""
 
-import os
-import subprocess
-import sys
 from pathlib import Path
 
-from repro.check.lint import RULES, lint_paths, lint_repo
+from repro.vet import build_context, run_rules
+from repro.vet.cli import main as vet_main
+from repro.vet.legacy import LEGACY_RULES
+from repro.vet.loader import package_root
 
 FIXTURES = Path(__file__).parent / "lint_fixtures"
-REPO_ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_legacy(paths, repo_mode=False):
+    """The legacy rules only, over *paths* (files or directories)."""
+    return run_rules(build_context(paths, repo_mode=repo_mode), LEGACY_RULES)
 
 
 def rules_of(violations):
@@ -17,7 +22,7 @@ def rules_of(violations):
 
 
 def test_rule_registry_is_complete():
-    assert RULES == (
+    assert LEGACY_RULES == (
         "unhandled-message-type",
         "directory-encapsulation",
         "sim-nondeterminism",
@@ -29,12 +34,12 @@ def test_rule_registry_is_complete():
 
 
 def test_repo_is_lint_clean():
-    violations = lint_repo()
+    violations = run_legacy([package_root()], repo_mode=True)
     assert violations == [], "\n".join(v.format() for v in violations)
 
 
 def test_unhandled_message_type_fixture():
-    violations = lint_paths([FIXTURES / "fixture_unhandled_message.py"])
+    violations = run_legacy([FIXTURES / "fixture_unhandled_message.py"])
     assert rules_of(violations) == ["unhandled-message-type"]
     (v,) = violations
     assert "MsgType.ORPHAN" in v.message
@@ -43,14 +48,14 @@ def test_unhandled_message_type_fixture():
 
 
 def test_directory_encapsulation_fixture():
-    violations = lint_paths([FIXTURES / "fixture_directory_touch.py"])
+    violations = run_legacy([FIXTURES / "fixture_directory_touch.py"])
     assert rules_of(violations) == ["directory-encapsulation"]
     touched = {v.message.split("'")[1] for v in violations}
     assert touched == {".directory_shard", "._lru"}
 
 
 def test_nondeterminism_fixture():
-    violations = lint_paths([FIXTURES / "fixture_nondeterminism.py"])
+    violations = run_legacy([FIXTURES / "fixture_nondeterminism.py"])
     assert rules_of(violations) == ["sim-nondeterminism"]
     messages = " | ".join(v.message for v in violations)
     assert "import of the unseeded 'random' module" in messages
@@ -59,14 +64,14 @@ def test_nondeterminism_fixture():
 
 
 def test_yield_discipline_fixture():
-    violations = lint_paths([FIXTURES / "fixture_bad_yield.py"])
+    violations = run_legacy([FIXTURES / "fixture_bad_yield.py"])
     assert rules_of(violations) == ["yield-discipline"]
     shown = {v.message.split(":")[0] for v in violations}
     assert shown == {"bare yield", "yield 5"}
 
 
 def test_span_discipline_fixture():
-    violations = lint_paths([FIXTURES / "fixture_span_discipline.py"])
+    violations = run_legacy([FIXTURES / "fixture_span_discipline.py"])
     assert rules_of(violations) == ["span-discipline"]
     messages = " | ".join(v.message for v in violations)
     # both un-with'd open forms flagged ...
@@ -80,7 +85,7 @@ def test_span_discipline_fixture():
 
 def test_slots_discipline_fixture():
     fixture = FIXTURES / "sim" / "fixture_missing_slots.py"
-    violations = lint_paths([fixture])
+    violations = run_legacy([fixture])
     assert rules_of(violations) == ["slots-discipline"]
     flagged = {v.message.split()[1] for v in violations}
     # plain class and slot-less dataclass are flagged; the slotted class,
@@ -96,7 +101,7 @@ def test_slots_discipline_scope_is_engine_core_paths():
     fixture.write_text("class SlotLess:\n    def __init__(self):\n"
                        "        self.x = 1\n")
     try:
-        assert lint_paths([fixture]) == []
+        assert run_legacy([fixture]) == []
     finally:
         fixture.unlink()
     # ... but a net/messages.py is
@@ -106,14 +111,14 @@ def test_slots_discipline_scope_is_engine_core_paths():
     fixture.write_text("class SlotLess:\n    def __init__(self):\n"
                        "        self.x = 1\n")
     try:
-        assert rules_of(lint_paths([fixture])) == ["slots-discipline"]
+        assert rules_of(run_legacy([fixture])) == ["slots-discipline"]
     finally:
         fixture.unlink()
         net_dir.rmdir()
 
 
 def test_retry_discipline_fixture():
-    violations = lint_paths([FIXTURES / "fixture_retry_discipline.py"])
+    violations = run_legacy([FIXTURES / "fixture_retry_discipline.py"])
     assert rules_of(violations) == ["retry-discipline"]
     assert len(violations) == 2
     messages = " | ".join(v.message for v in violations)
@@ -136,8 +141,8 @@ def test_span_discipline_repo_mode_exempts_obs():
         "def serialize(s):\n    return {'trace_id': s.trace_id}\n"
     )
     try:
-        assert rules_of(lint_paths([fixture])) == ["span-discipline"]
-        assert lint_paths([fixture], repo_mode=True) == []
+        assert rules_of(run_legacy([fixture])) == ["span-discipline"]
+        assert run_legacy([fixture], repo_mode=True) == []
     finally:
         fixture.unlink()
         obs_dir.rmdir()
@@ -152,42 +157,23 @@ def test_repo_mode_exempts_offline_tooling():
     fixture = tools_dir / "offline.py"
     fixture.write_text("import time\n\ndef stamp():\n    return time.time()\n")
     try:
-        assert rules_of(lint_paths([fixture])) == ["sim-nondeterminism"]
-        assert lint_paths([fixture], repo_mode=True) == []
+        assert rules_of(run_legacy([fixture])) == ["sim-nondeterminism"]
+        assert run_legacy([fixture], repo_mode=True) == []
     finally:
         fixture.unlink()
         tools_dir.rmdir()
 
 
-def _run_cli(*args):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO_ROOT / "src")
-    return subprocess.run(
-        [sys.executable, "-m", "repro.check", "--lint", *args],
-        capture_output=True, text=True, env=env, cwd=REPO_ROOT,
-    )
+def test_cli_nonzero_on_fixture(capsys):
+    fixture = FIXTURES / "fixture_nondeterminism.py"
+    code = vet_main(["check", str(fixture), "--rules", ",".join(LEGACY_RULES)])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "[sim-nondeterminism]" in out
+    assert "fixture_nondeterminism.py" in out
+    assert "3 violation(s)" in out
 
 
-def test_cli_clean_on_repo():
-    result = _run_cli()
-    assert result.returncode == 0, result.stdout + result.stderr
-    assert "lint: clean" in result.stdout
-
-
-def test_cli_nonzero_on_fixture():
-    result = _run_cli(str(FIXTURES / "fixture_nondeterminism.py"))
-    assert result.returncode == 1
-    assert "[sim-nondeterminism]" in result.stdout
-    assert "fixture_nondeterminism.py" in result.stdout
-    assert "violation(s)" in result.stderr
-
-
-def test_cli_list_rules():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO_ROOT / "src")
-    result = subprocess.run(
-        [sys.executable, "-m", "repro.check", "--list-rules"],
-        capture_output=True, text=True, env=env, cwd=REPO_ROOT,
-    )
-    assert result.returncode == 0
-    assert set(result.stdout.split()) == set(RULES)
+def test_cli_list_rules(capsys):
+    assert vet_main(["--list-rules"]) == 0
+    assert set(LEGACY_RULES) <= set(capsys.readouterr().out.split())

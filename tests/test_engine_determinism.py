@@ -59,17 +59,18 @@ def test_fast_paths_are_behaviour_preserving(app, backend, monkeypatch):
     monkeypatch.delenv("DEX_ENGINE_INLINE")
 
     # message freelist off (every message freshly allocated)
-    monkeypatch.setattr(messages, "FREELIST_DEFAULT", False)
+    monkeypatch.setenv("DEX_MSG_FREELIST", "0")
     assert run_digest(app, backend) == reference, \
         f"{app}/{backend}: message freelist changed behaviour"
 
 
 def test_freelist_knob_reaches_network(monkeypatch):
-    """The Network snapshots the freelist default at construction."""
+    """The cluster resolves the freelist knob at construction."""
     from repro import DexCluster
 
+    monkeypatch.delenv("DEX_MSG_FREELIST", raising=False)
     assert DexCluster(num_nodes=2).net._recycle is True
-    monkeypatch.setattr(messages, "FREELIST_DEFAULT", False)
+    monkeypatch.setenv("DEX_MSG_FREELIST", "0")
     assert DexCluster(num_nodes=2).net._recycle is False
 
 

@@ -17,7 +17,7 @@ from repro import DexCluster, SimParams
 from repro.check import DeadlockError
 from repro.core.errors import NodeFailedError
 from repro.obs import lens as lens_mod
-from repro.obs import resolve_lens_mode, tracing
+from repro.obs import tracing
 from repro.obs.export import PathPhase, check_trace_tree, path_phase_of
 from repro.obs.lens import LensFeed, SlidingWindow, TopView
 from repro.obs.ring import load_snapshot
@@ -66,21 +66,6 @@ def _micro(num_nodes=2, rounds=30, **param_overrides):
 
 
 # -- knob -------------------------------------------------------------------
-
-
-def test_lens_knob_resolution(monkeypatch):
-    monkeypatch.delenv("DEX_LENS", raising=False)
-    assert resolve_lens_mode("") == ""
-    assert resolve_lens_mode("off") == ""
-    assert resolve_lens_mode("1") == "on"
-    assert resolve_lens_mode("on") == "on"
-    assert resolve_lens_mode(None) == ""  # env unset
-    monkeypatch.setenv("DEX_LENS", "1")
-    assert resolve_lens_mode(None) == "on"
-    with pytest.raises(ValueError):
-        resolve_lens_mode("bogus")
-    with pytest.raises(ValueError):
-        resolve_lens_mode("spans")  # a trace mode, not a lens mode
 
 
 def test_lens_off_means_no_lens_object(monkeypatch):
