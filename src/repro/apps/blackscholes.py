@@ -19,11 +19,8 @@ from repro.apps import workloads
 from repro.apps.common import (
     AdaptationInfo,
     AppResult,
-    check_variant,
-    fresh_process,
-    plan_nodes,
     run_workers,
-    workload_seed,
+    start_run,
 )
 from repro.params import SimParams
 from repro.runtime.array import DistArray, alloc_array
@@ -91,42 +88,35 @@ def run(
     seed: Optional[int] = None,
 ) -> AppResult:
     """Run BLK; output is the option price vector."""
-    check_variant(variant)
-    seed = workload_seed(params, 13) if seed is None else seed
-    cluster, proc, alloc = fresh_process(num_nodes, params)
-    if tracer is not None:
-        proc.attach_tracer(tracer)
-    nodes = plan_nodes(cluster, num_nodes)
-    num_threads = threads_per_node * num_nodes
-    migrate = variant != "unmodified"
-    optimized = variant == "optimized"
+    app = start_run("BLK", variant, num_nodes, threads_per_node, params,
+                    tracer, seed, default_seed=13)
 
-    batch = workloads.option_batch(n_options, seed)
+    batch = workloads.option_batch(n_options, app.seed)
     expected = _price(batch, 0, n_options)
 
     inputs = {
-        name: alloc_array(alloc, np.float64, n_options, name=name,
+        name: alloc_array(app.alloc, np.float64, n_options, name=name,
                           page_aligned=True)
         for name in FIELDS
     }
-    flags = alloc_array(alloc, np.uint8, n_options, name="is_call",
+    flags = alloc_array(app.alloc, np.uint8, n_options, name="is_call",
                         page_aligned=True)
-    part = (n_options + num_threads - 1) // num_threads
-    if optimized:
+    part = (n_options + app.num_threads - 1) // app.num_threads
+    if app.optimized:
         outputs = [
-            alloc_array(alloc, np.float64, min(part, n_options - i * part),
+            alloc_array(app.alloc, np.float64, min(part, n_options - i * part),
                         name=f"out{i}", page_aligned=True)
-            for i in range(num_threads)
+            for i in range(app.num_threads)
             if i * part < n_options
         ]
     else:
         # one contiguous output vector: adjacent threads share the pages
         # at their partition boundaries
-        whole = alloc_array(alloc, np.float64, n_options, name="out")
+        whole = alloc_array(app.alloc, np.float64, n_options, name="out")
         outputs = [
             DistArray(whole.addr + i * part * 8, np.float64,
                       min(part, n_options - i * part), name=f"out{i}")
-            for i in range(num_threads)
+            for i in range(app.num_threads)
             if i * part < n_options
         ]
 
@@ -164,8 +154,9 @@ def run(
         yield from ctx.write(flags.addr,
                              batch.is_call.astype(np.uint8).tobytes())
 
-    cluster.simulate(setup, proc)
-    elapsed = run_workers(cluster, proc, body, num_threads, nodes, migrate)
+    app.cluster.simulate(setup, app.proc)
+    elapsed = run_workers(app.cluster, app.proc, body, app.num_threads,
+                          app.nodes, app.migrate)
 
     def collect(ctx) -> Generator:
         parts = []
@@ -174,14 +165,5 @@ def run(
             parts.append(data)
         return np.concatenate(parts)
 
-    output = cluster.simulate(collect, proc)
-    return AppResult(
-        app="BLK",
-        variant=variant,
-        num_nodes=num_nodes,
-        num_threads=num_threads,
-        elapsed_us=elapsed,
-        output=output,
-        stats=proc.stats,
-        correct=bool(np.allclose(output, expected)),
-    )
+    output = app.cluster.simulate(collect, app.proc)
+    return app.result(output, elapsed, bool(np.allclose(output, expected)))

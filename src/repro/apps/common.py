@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Generator, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Any, Callable, Generator, List, Optional, Sequence
 
 from repro.core import DexCluster, DexProcess
 from repro.core.stats import DexStats
@@ -48,31 +48,85 @@ class AppResult:
         return 1.0 / self.elapsed_us if self.elapsed_us > 0 else float("inf")
 
 
-def workload_seed(params: Optional[SimParams], default: int) -> int:
-    """Resolve an app's workload-generation seed.
+@dataclass
+class AppRun:
+    """The set-up every Figure-2 app shares (§V-A): one fresh cluster and
+    process, the node plan, and what the variant implies.  Built by
+    :func:`start_run`; :meth:`result` reports the run."""
 
-    ``SimParams.seed`` wins when the caller pinned one (so a single knob
-    reproduces the whole run: engine event order, chaos schedule, *and*
-    input data); otherwise the app's calibrated historical default is used,
-    keeping existing timings bit-identical when no seed is requested."""
-    if params is not None and params.seed is not None:
-        return params.seed
-    return default
+    app: str
+    variant: str
+    num_nodes: int
+    seed: int
+    cluster: DexCluster
+    proc: DexProcess
+    alloc: MemoryAllocator
+    nodes: List[int]       # the node set the run uses (origin first)
+    num_threads: int
+    migrate: bool          # every variant but "unmodified" migrates
+    optimized: bool
+
+    def result(self, output: Any, elapsed_us: float,
+               correct: bool) -> AppResult:
+        return AppResult(
+            app=self.app,
+            variant=self.variant,
+            num_nodes=self.num_nodes,
+            num_threads=self.num_threads,
+            elapsed_us=elapsed_us,
+            output=output,
+            stats=self.proc.stats,
+            correct=correct,
+        )
 
 
-def check_variant(variant: str) -> str:
+def start_run(
+    app: str,
+    variant: str,
+    num_nodes: int,
+    threads_per_node: int,
+    params: Optional[SimParams],
+    tracer,
+    seed: Optional[int],
+    default_seed: int,
+) -> AppRun:
+    """Set up one run of *app*.
+
+    An explicit *seed* wins; next ``SimParams.seed`` when the caller pinned
+    one (so a single knob reproduces the whole run: engine event order,
+    chaos schedule, *and* input data); otherwise the app's calibrated
+    historical *default_seed*, keeping existing timings bit-identical when
+    no seed is requested.  The cluster always has 8 nodes (the testbed);
+    *num_nodes* only controls placement.  *tracer* is the optional §IV
+    fault tracer."""
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
-    return variant
-
-
-def plan_nodes(cluster: DexCluster, num_nodes: int) -> List[int]:
-    """The node set an n-node run uses (origin first)."""
+    if seed is None and params is not None:
+        seed = params.seed
+    if seed is None:
+        seed = default_seed
+    cluster = DexCluster(num_nodes=max(num_nodes, 8), params=params)
+    proc = cluster.create_process()
+    alloc = MemoryAllocator(proc)
+    if tracer is not None:
+        proc.attach_tracer(tracer)
     if not 1 <= num_nodes <= cluster.num_nodes:
         raise ValueError(
             f"num_nodes must be in [1, {cluster.num_nodes}], got {num_nodes}"
         )
-    return list(range(num_nodes))
+    return AppRun(
+        app=app,
+        variant=variant,
+        num_nodes=num_nodes,
+        seed=seed,
+        cluster=cluster,
+        proc=proc,
+        alloc=alloc,
+        nodes=list(range(num_nodes)),
+        num_threads=threads_per_node * num_nodes,
+        migrate=variant != "unmodified",
+        optimized=variant == "optimized",
+    )
 
 
 def run_workers(
@@ -82,7 +136,6 @@ def run_workers(
     num_threads: int,
     nodes: Sequence[int],
     migrate: bool,
-    args: tuple = (),
 ) -> float:
     """The common harness: spawn *num_threads* workers, each performing the
     paper's conversion (migrate out, run, migrate back) when *migrate*;
@@ -95,7 +148,7 @@ def run_workers(
     def worker(ctx, wid: int) -> Generator:
         if migrate:
             yield from ctx.migrate(node_for_worker(wid, num_threads, list(nodes)))
-        yield from body(ctx, wid, *args)
+        yield from body(ctx, wid)
         if migrate:
             yield from ctx.migrate_back()
 
@@ -108,12 +161,3 @@ def run_workers(
 
     cluster.simulate(waiter, proc)
     return cluster.engine.now - start
-
-
-def fresh_process(num_nodes: int, params: Optional[SimParams] = None):
-    """(cluster, process, allocator) for one app run.  The cluster always
-    has 8 nodes (the testbed); *num_nodes* only controls placement."""
-    cluster = DexCluster(num_nodes=max(num_nodes, 8), params=params)
-    proc = cluster.create_process()
-    alloc = MemoryAllocator(proc)
-    return cluster, proc, alloc

@@ -24,11 +24,8 @@ from repro.apps import workloads
 from repro.apps.common import (
     AdaptationInfo,
     AppResult,
-    check_variant,
-    fresh_process,
-    plan_nodes,
     run_workers,
-    workload_seed,
+    start_run,
 )
 from repro.params import SimParams
 from repro.runtime import Barrier
@@ -88,43 +85,37 @@ def run(
     """Run KMN; output is the final centroids, checked against the
     reference run with ``np.allclose`` (parallel reduction reorders float
     additions)."""
-    check_variant(variant)
-    seed = workload_seed(params, 11) if seed is None else seed
-    cluster, proc, alloc = fresh_process(num_nodes, params)
-    if tracer is not None:
-        proc.attach_tracer(tracer)
-    nodes = plan_nodes(cluster, num_nodes)
-    num_threads = threads_per_node * num_nodes
-    migrate = variant != "unmodified"
-    optimized = variant == "optimized"
+    app = start_run("KMN", variant, num_nodes, threads_per_node, params,
+                    tracer, seed, default_seed=11)
 
-    points = workloads.clustered_points(n_points, k, DIM, seed=seed)
+    points = workloads.clustered_points(n_points, k, DIM, seed=app.seed)
     expected, _ = reference(points, k, max_iters)
 
     # ---- layout ----------------------------------------------------------
-    points_arr = alloc_array(alloc, np.float64, n_points * DIM, name="points",
-                             page_aligned=True)
-    aligned = optimized
-    centroids = alloc_array(alloc, np.float64, k * DIM, name="centroids",
+    points_arr = alloc_array(app.alloc, np.float64, n_points * DIM,
+                             name="points", page_aligned=True)
+    aligned = app.optimized
+    centroids = alloc_array(app.alloc, np.float64, k * DIM, name="centroids",
                             segment="globals", page_aligned=aligned)
-    sums = alloc_array(alloc, np.float64, k * DIM, name="sums",
+    sums = alloc_array(app.alloc, np.float64, k * DIM, name="sums",
                        segment="globals", page_aligned=aligned)
-    counts = alloc_array(alloc, np.int64, k, name="counts",
+    counts = alloc_array(app.alloc, np.int64, k, name="counts",
                          segment="globals", page_aligned=aligned)
-    changed_flag = alloc_array(alloc, np.int64, 1, name="changed",
+    changed_flag = alloc_array(app.alloc, np.int64, 1, name="changed",
                                segment="globals", page_aligned=aligned)
-    go = alloc_array(alloc, np.int64, max_iters, name="go",
+    go = alloc_array(app.alloc, np.int64, max_iters, name="go",
                      segment="globals", page_aligned=aligned)
-    barrier = Barrier(alloc, num_threads, name="kmn", page_aligned=aligned)
+    barrier = Barrier(app.alloc, app.num_threads, name="kmn",
+                      page_aligned=aligned)
 
-    part = (n_points + num_threads - 1) // num_threads
+    part = (n_points + app.num_threads - 1) // app.num_threads
 
     # the original program works point-by-point: it re-reads the centroid
     # block continually while folding into the accumulators that share its
     # page, so on DeX the page is re-faulted after every invalidation.  The
     # optimized version snapshots the (page-aligned) centroids once per
     # iteration and processes large chunks.
-    chunk_points = CHUNK_POINTS if optimized else CHUNK_POINTS // 16
+    chunk_points = CHUNK_POINTS if app.optimized else CHUNK_POINTS // 16
 
     def body(ctx, wid: int) -> Generator:
         lo = wid * part
@@ -138,7 +129,7 @@ def run(
             local_changed = False
             pos = lo
             while pos < hi:
-                if not optimized and pos != lo:
+                if not app.optimized and pos != lo:
                     # re-read the centroid block: writes to the co-located
                     # accumulators keep invalidating our replica
                     centers = (
@@ -159,7 +150,7 @@ def run(
                     (assign != prev_assign[pos - lo : pos - lo + take]).any()
                 )
                 prev_assign[pos - lo : pos - lo + take] = assign
-                if optimized:
+                if app.optimized:
                     # the same per-point update work, but staged into the
                     # thread's private buffers (no shared page involved)
                     yield from ctx.compute(cpu_us=take * UPDATE_US_PER_POINT)
@@ -192,7 +183,7 @@ def run(
                         yield from changed_flag.set(ctx, 0, 1,
                                                     site="kmn:flag")
                 pos += take
-            if optimized:
+            if app.optimized:
                 # merge once per iteration: back-to-back atomic folds, so
                 # the accumulator pages change hands once per thread
                 flat = local_sums.ravel()
@@ -229,21 +220,14 @@ def run(
         yield from points_arr.write(ctx, 0, points.ravel())
         yield from centroids.write(ctx, 0, points[:k].ravel())
 
-    cluster.simulate(setup, proc)
-    elapsed = run_workers(cluster, proc, body, num_threads, nodes, migrate)
+    app.cluster.simulate(setup, app.proc)
+    elapsed = run_workers(app.cluster, app.proc, body, app.num_threads,
+                          app.nodes, app.migrate)
 
     def collect(ctx) -> Generator:
         final = yield from centroids.read(ctx)
         return final.reshape(k, DIM)
 
-    output = cluster.simulate(collect, proc)
-    return AppResult(
-        app="KMN",
-        variant=variant,
-        num_nodes=num_nodes,
-        num_threads=num_threads,
-        elapsed_us=elapsed,
-        output=output,
-        stats=proc.stats,
-        correct=bool(np.allclose(output, expected, rtol=1e-8, atol=1e-8)),
-    )
+    output = app.cluster.simulate(collect, app.proc)
+    return app.result(output, elapsed, bool(
+        np.allclose(output, expected, rtol=1e-8, atol=1e-8)))

@@ -23,14 +23,7 @@ from typing import Generator, Optional
 
 import numpy as np
 
-from repro.apps.common import (
-    AdaptationInfo,
-    AppResult,
-    check_variant,
-    fresh_process,
-    plan_nodes,
-    workload_seed,
-)
+from repro.apps.common import AdaptationInfo, AppResult, start_run
 from repro.apps.npb.common import region_loop
 from repro.params import SimParams
 from repro.runtime.array import alloc_array
@@ -71,52 +64,45 @@ def run(
 ) -> AppResult:
     """Run BT; output is the final grid (checked against the reference
     Jacobi sweep) and the accumulated residual."""
-    check_variant(variant)
-    seed = workload_seed(params, 23) if seed is None else seed
-    cluster, proc, alloc = fresh_process(num_nodes, params)
-    if tracer is not None:
-        proc.attach_tracer(tracer)
-    nodes = plan_nodes(cluster, num_nodes)
-    num_threads = threads_per_node * num_nodes
-    migrate = variant != "unmodified"
-    optimized = variant == "optimized"
+    app = start_run("BT", variant, num_nodes, threads_per_node, params,
+                    tracer, seed, default_seed=23)
     n_regions = REGIONS_PER_ITER * iters
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(app.seed)
     grid0 = rng.uniform(0.0, 1.0, grid_cells)
     expected = reference(grid0, n_regions)
 
     # double-buffered grids; optimized page-aligns each thread's block so
     # partition edges do not share pages
     grids = [
-        alloc_array(alloc, np.float64, grid_cells, name=f"grid{i}",
+        alloc_array(app.alloc, np.float64, grid_cells, name=f"grid{i}",
                     page_aligned=True)
         for i in range(2)
     ]
-    if optimized:
-        part = ((grid_cells // num_threads + 511) // 512) * 512
+    if app.optimized:
+        part = ((grid_cells // app.num_threads + 511) // 512) * 512
     else:
-        part = (grid_cells + num_threads - 1) // num_threads
+        part = (grid_cells + app.num_threads - 1) // app.num_threads
 
     # the hot globals page (initial): loop params + residual + the master's
     # per-region bookkeeping all together; optimized splits them up
-    loop_params = alloc_array(alloc, np.int64, 4, name="loop_params",
-                              segment="globals", page_aligned=optimized)
-    residual = alloc_array(alloc, np.float64, 1, name="residual",
+    loop_params = alloc_array(app.alloc, np.int64, 4, name="loop_params",
+                              segment="globals", page_aligned=app.optimized)
+    residual = alloc_array(app.alloc, np.float64, 1, name="residual",
                            segment="globals", page_aligned=False)
-    bookkeeping = alloc_array(alloc, np.int64, 4, name="region_counter",
+    bookkeeping = alloc_array(app.alloc, np.int64, 4, name="region_counter",
                               segment="globals", page_aligned=False)
     # the master's stack frame holding the per-region shared variables the
     # children read in the initial port (§IV-B's stack false sharing)
-    master_stack = alloc.alloc_global(64, tag="stack:master")
+    master_stack = app.alloc.alloc_global(64, tag="stack:master")
     # optimized: per-thread residual staging (an OpenMP reduction), folded
     # into the shared accumulator once at the very end, at the origin
-    staged_res = [0.0] * num_threads
+    staged_res = [0.0] * app.num_threads
 
     def region_fn(ctx, wid: int, region: int) -> Generator:
         lo = min(wid * part, grid_cells)
         hi = min(lo + part, grid_cells)
-        if not optimized:
+        if not app.optimized:
             # read the region arguments from the parent's stack page and
             # the loop ranges from the shared parameter page (which the
             # residual updates below keep invalidating)
@@ -130,7 +116,7 @@ def run(
         rlo = max(lo - 1, 0)
         rhi = min(hi + 1, grid_cells)
         block = yield from src.read(ctx, rlo, rhi, site="bt:halo")
-        if not optimized:
+        if not app.optimized:
             # the inner loops keep consulting the loop-range variables
             yield from loop_params.read(ctx, site="bt:params")
         yield from ctx.compute(
@@ -149,7 +135,7 @@ def run(
                              site="bt:write")
         res = float(np.abs(new[off : off + hi - lo]
                            - block[off : off + hi - lo]).sum())
-        if optimized:
+        if app.optimized:
             # staged reduction: fold locally, publish once at the end
             staged_res[wid] += res
             if region == n_regions - 1:
@@ -164,7 +150,7 @@ def run(
         # master's serial section: bookkeeping writes that dirty the hot
         # page and the master's own stack frame, which children read
         yield from bookkeeping.set(ctx, 0, region, site="bt:master")
-        if not optimized:
+        if not app.optimized:
             yield from ctx.write(master_stack, region.to_bytes(16, "little"),
                                  site="bt:master_stack")
 
@@ -175,25 +161,13 @@ def run(
             ctx, 0, np.array([0, grid_cells, part, iters], dtype=np.int64)
         )
 
-    cluster.simulate(setup, proc)
-    elapsed = region_loop(
-        cluster, proc, alloc, num_threads, nodes, migrate,
-        n_regions, region_fn, serial_fn,
-    )
+    app.cluster.simulate(setup, app.proc)
+    elapsed = region_loop(app, n_regions, region_fn, serial_fn)
 
     def collect(ctx) -> Generator:
         final = yield from grids[n_regions % 2].read(ctx)
         res = yield from residual.get(ctx, 0)
         return final, float(res)
 
-    (final, res) = cluster.simulate(collect, proc)
-    return AppResult(
-        app="BT",
-        variant=variant,
-        num_nodes=num_nodes,
-        num_threads=num_threads,
-        elapsed_us=elapsed,
-        output=res,
-        stats=proc.stats,
-        correct=bool(np.allclose(final, expected)),
-    )
+    (final, res) = app.cluster.simulate(collect, app.proc)
+    return app.result(res, elapsed, bool(np.allclose(final, expected)))

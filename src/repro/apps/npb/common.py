@@ -12,21 +12,15 @@ remote across the serial sections.
 
 from __future__ import annotations
 
-from typing import Callable, Generator, List, Optional, Sequence
+from typing import Callable, Generator, Optional
 
-from repro.apps.common import run_workers
-from repro.core import DexCluster, DexProcess
-from repro.runtime import Barrier, MemoryAllocator
+from repro.apps.common import AppRun, run_workers
+from repro.runtime import Barrier
 from repro.runtime.openmp import node_for_worker
 
 
 def region_loop(
-    cluster: DexCluster,
-    proc: DexProcess,
-    alloc: MemoryAllocator,
-    num_threads: int,
-    nodes: Sequence[int],
-    migrate: bool,
+    app: AppRun,
     n_regions: int,
     region_fn: Callable[..., Generator],
     serial_fn: Optional[Callable[..., Generator]] = None,
@@ -35,16 +29,17 @@ def region_loop(
     with per-region out-and-back migration and origin-local barriers;
     ``serial_fn(ctx, region)`` runs on the master between regions.
     Returns the elapsed time of the whole region sequence."""
-    barrier = Barrier(alloc, num_threads, name="omp_join", page_aligned=True)
+    barrier = Barrier(app.alloc, app.num_threads, name="omp_join",
+                      page_aligned=True)
 
     def body(ctx, wid: int) -> Generator:
         for region in range(n_regions):
-            if migrate:
+            if app.migrate:
                 yield from ctx.migrate(
-                    node_for_worker(wid, num_threads, list(nodes))
+                    node_for_worker(wid, app.num_threads, app.nodes)
                 )
             yield from region_fn(ctx, wid, region)
-            if migrate:
+            if app.migrate:
                 yield from ctx.migrate_back()
             # implicit OpenMP region-end barrier — at the origin, so cheap
             yield from barrier.wait(ctx)
@@ -53,6 +48,5 @@ def region_loop(
             yield from barrier.wait(ctx)
 
     # migration is handled per-region above, not by the outer harness
-    return run_workers(
-        cluster, proc, body, num_threads, nodes, migrate=False
-    )
+    return run_workers(app.cluster, app.proc, body, app.num_threads,
+                       app.nodes, migrate=False)

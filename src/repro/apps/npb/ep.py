@@ -20,11 +20,8 @@ import numpy as np
 from repro.apps.common import (
     AdaptationInfo,
     AppResult,
-    check_variant,
-    fresh_process,
-    plan_nodes,
     run_workers,
-    workload_seed,
+    start_run,
 )
 from repro.params import SimParams
 from repro.runtime.array import alloc_array
@@ -80,33 +77,26 @@ def run(
     seed: Optional[int] = None,
 ) -> AppResult:
     """Run EP; output is the 10-bin annulus histogram."""
-    check_variant(variant)
-    seed = workload_seed(params, 19) if seed is None else seed
-    cluster, proc, alloc = fresh_process(num_nodes, params)
-    if tracer is not None:
-        proc.attach_tracer(tracer)
-    nodes = plan_nodes(cluster, num_nodes)
-    num_threads = threads_per_node * num_nodes
-    migrate = variant != "unmodified"
-    optimized = variant == "optimized"
+    app = start_run("EP", variant, num_nodes, threads_per_node, params,
+                    tracer, seed, default_seed=19)
 
-    expected = reference(n_pairs, seed)
+    expected = reference(n_pairs, app.seed)
     pairs_per_block = n_pairs // N_BLOCKS
 
-    bins = alloc_array(alloc, np.int64, N_BINS, name="bins",
-                       segment="globals", page_aligned=optimized)
-    sums = alloc_array(alloc, np.float64, 2, name="sums",
-                       segment="globals", page_aligned=optimized)
+    bins = alloc_array(app.alloc, np.int64, N_BINS, name="bins",
+                       segment="globals", page_aligned=app.optimized)
+    sums = alloc_array(app.alloc, np.float64, 2, name="sums",
+                       segment="globals", page_aligned=app.optimized)
 
     def body(ctx, wid: int) -> Generator:
         local = np.zeros(N_BINS, dtype=np.int64)
         sx = sy = 0.0
-        for block in range(wid, N_BLOCKS, num_threads):
+        for block in range(wid, N_BLOCKS, app.num_threads):
             yield from ctx.compute(
                 cpu_us=pairs_per_block * CPU_US_PER_PAIR,
                 mem_bytes=pairs_per_block * 16,
             )
-            hist, bx, by = _block_histogram(block, pairs_per_block, seed)
+            hist, bx, by = _block_histogram(block, pairs_per_block, app.seed)
             local += hist
             sx += bx
             sy += by
@@ -117,20 +107,12 @@ def run(
         yield from sums.add(ctx, 0, sx, site="ep:sums")
         yield from sums.add(ctx, 1, sy, site="ep:sums")
 
-    elapsed = run_workers(cluster, proc, body, num_threads, nodes, migrate)
+    elapsed = run_workers(app.cluster, app.proc, body, app.num_threads,
+                          app.nodes, app.migrate)
 
     def collect(ctx) -> Generator:
         hist = yield from bins.read(ctx)
         return hist
 
-    output = cluster.simulate(collect, proc)
-    return AppResult(
-        app="EP",
-        variant=variant,
-        num_nodes=num_nodes,
-        num_threads=num_threads,
-        elapsed_us=elapsed,
-        output=output,
-        stats=proc.stats,
-        correct=bool((output == expected).all()),
-    )
+    output = app.cluster.simulate(collect, app.proc)
+    return app.result(output, elapsed, bool((output == expected).all()))

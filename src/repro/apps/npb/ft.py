@@ -17,14 +17,7 @@ from typing import Generator, Optional
 
 import numpy as np
 
-from repro.apps.common import (
-    AdaptationInfo,
-    AppResult,
-    check_variant,
-    fresh_process,
-    plan_nodes,
-    workload_seed,
-)
+from repro.apps.common import AdaptationInfo, AppResult, start_run
 from repro.apps.npb.common import region_loop
 from repro.params import SimParams
 from repro.runtime.array import alloc_array
@@ -74,41 +67,34 @@ def run(
 ) -> AppResult:
     """Run FT; output is the final matrix checksum, with the full matrix
     checked against the reference."""
-    check_variant(variant)
-    seed = workload_seed(params, 29) if seed is None else seed
-    cluster, proc, alloc = fresh_process(num_nodes, params)
-    if tracer is not None:
-        proc.attach_tracer(tracer)
-    nodes = plan_nodes(cluster, num_nodes)
-    num_threads = threads_per_node * num_nodes
-    migrate = variant != "unmodified"
-    optimized = variant == "optimized"
+    app = start_run("FT", variant, num_nodes, threads_per_node, params,
+                    tracer, seed, default_seed=29)
     n_regions = REGIONS_PER_ITER * iters
     schedule = [SCHEDULE[r % REGIONS_PER_ITER] for r in range(n_regions)]
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(app.seed)
     matrix0 = rng.uniform(0.0, 1.0, (rows, cols))
     expected = reference(matrix0, iters)
     # square matrices keep the row partitioning valid across transposes
     assert rows == cols, "FT model requires a square matrix"
 
     mats = [
-        alloc_array(alloc, np.float64, rows * cols, name=f"mat{i}",
+        alloc_array(app.alloc, np.float64, rows * cols, name=f"mat{i}",
                     page_aligned=True)
         for i in range(2)
     ]
-    row_part = (rows + num_threads - 1) // num_threads
+    row_part = (rows + app.num_threads - 1) // app.num_threads
 
-    loop_params = alloc_array(alloc, np.int64, 4, name="loop_params",
-                              segment="globals", page_aligned=optimized)
-    checksum = alloc_array(alloc, np.float64, 1, name="checksum",
+    loop_params = alloc_array(app.alloc, np.int64, 4, name="loop_params",
+                              segment="globals", page_aligned=app.optimized)
+    checksum = alloc_array(app.alloc, np.float64, 1, name="checksum",
                            segment="globals", page_aligned=False)
-    staged_sum = [0.0] * num_threads
+    staged_sum = [0.0] * app.num_threads
 
     def region_fn(ctx, wid: int, region: int) -> Generator:
         rlo = min(wid * row_part, rows)
         rhi = min(rlo + row_part, rows)
-        if not optimized:
+        if not app.optimized:
             yield from loop_params.read(ctx, site="ft:params")
         if rlo >= rhi:
             return
@@ -142,7 +128,7 @@ def run(
             out = gathered
         yield from dst.write(ctx, rlo * cols, out.ravel(), site="ft:write")
         part_sum = float(out.sum())
-        if optimized:
+        if app.optimized:
             staged_sum[wid] += part_sum
             if region == n_regions - 1:
                 yield from checksum.add(ctx, 0, staged_sum[wid],
@@ -152,7 +138,7 @@ def run(
 
     def serial_fn(ctx, region: int) -> Generator:
         # master bookkeeping write on the (initial) hot parameter page
-        if not optimized:
+        if not app.optimized:
             yield from loop_params.write(
                 ctx, 0, np.array([region, rows, cols, iters], dtype=np.int64)
             )
@@ -166,25 +152,13 @@ def run(
             ctx, 0, np.array([0, rows, cols, iters], dtype=np.int64)
         )
 
-    cluster.simulate(setup, proc)
-    elapsed = region_loop(
-        cluster, proc, alloc, num_threads, nodes, migrate,
-        n_regions, region_fn, serial_fn,
-    )
+    app.cluster.simulate(setup, app.proc)
+    elapsed = region_loop(app, n_regions, region_fn, serial_fn)
 
     def collect(ctx) -> Generator:
         final = yield from mats[n_regions % 2].read(ctx)
         total = yield from checksum.get(ctx, 0)
         return final.reshape(rows, cols), float(total)
 
-    final, total = cluster.simulate(collect, proc)
-    return AppResult(
-        app="FT",
-        variant=variant,
-        num_nodes=num_nodes,
-        num_threads=num_threads,
-        elapsed_us=elapsed,
-        output=total,
-        stats=proc.stats,
-        correct=bool(np.allclose(final, expected)),
-    )
+    final, total = app.cluster.simulate(collect, app.proc)
+    return app.result(total, elapsed, bool(np.allclose(final, expected)))

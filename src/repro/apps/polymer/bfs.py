@@ -26,16 +26,13 @@ from repro.apps import workloads
 from repro.apps.common import (
     AdaptationInfo,
     AppResult,
-    check_variant,
-    fresh_process,
-    plan_nodes,
     run_workers,
-    workload_seed,
+    start_run,
 )
 from repro.apps.polymer.engine import make_frontier_state
 from repro.apps.polymer.graph import edge_balanced_partitions, load_graph
 from repro.params import SimParams
-from repro.runtime import Barrier, MemoryAllocator
+from repro.runtime import Barrier
 from repro.runtime.array import alloc_array
 
 CPU_US_PER_EDGE = 0.05
@@ -65,28 +62,22 @@ def run(
 ) -> AppResult:
     """Run BFS; output is the distance vector, checked against the
     single-threaded reference."""
-    check_variant(variant)
-    seed = workload_seed(params, 17) if seed is None else seed
-    cluster, proc, alloc = fresh_process(num_nodes, params)
-    if tracer is not None:
-        proc.attach_tracer(tracer)
-    nodes = plan_nodes(cluster, num_nodes)
-    num_threads = threads_per_node * num_nodes
-    migrate = variant != "unmodified"
-    optimized = variant == "optimized"
+    app = start_run("BFS", variant, num_nodes, threads_per_node, params,
+                    tracer, seed, default_seed=17)
 
-    indptr, indices = workloads.rmat_graph(n_vertices, n_edges, seed=seed)
+    indptr, indices = workloads.rmat_graph(n_vertices, n_edges, seed=app.seed)
     n_vertices = len(indptr) - 1  # rmat may round up to a power of two
     expected = workloads.bfs_reference(indptr, indices, source)
 
-    graph, edge_data = load_graph(alloc, indptr, indices)
-    dist = alloc_array(alloc, np.int64, n_vertices, name="dist",
-                       page_aligned=optimized)
-    state = make_frontier_state(alloc, n_vertices, num_nodes, MAX_LEVELS,
-                                optimized)
-    barrier = Barrier(alloc, num_threads, name="bfs", page_aligned=optimized)
+    graph, edge_data = load_graph(app.alloc, indptr, indices)
+    dist = alloc_array(app.alloc, np.int64, n_vertices, name="dist",
+                       page_aligned=app.optimized)
+    state = make_frontier_state(app.alloc, n_vertices, num_nodes, MAX_LEVELS,
+                                app.optimized)
+    barrier = Barrier(app.alloc, app.num_threads, name="bfs",
+                      page_aligned=app.optimized)
 
-    thread_parts = edge_balanced_partitions(indptr, num_threads)
+    thread_parts = edge_balanced_partitions(indptr, app.num_threads)
     # contiguous per-node ranges (threads are block-assigned to nodes)
     node_ranges = []
     for k in range(num_nodes):
@@ -134,7 +125,7 @@ def run(
                     )
                 else:
                     nbrs = np.empty(0, dtype=np.int64)
-                if optimized:
+                if app.optimized:
                     # push into this node's staging buffer (page-aligned,
                     # only this node's threads write it)
                     stage = state.staging[my_node]
@@ -145,7 +136,7 @@ def run(
                 else:
                     # check and write the shared distance array directly,
                     # publish into the shared next frontier, poke the flag
-                    page = cluster.params.page_size
+                    page = app.cluster.params.page_size
                     per = page // 8
                     newly: List[int] = []
                     for pg in np.unique(nbrs // per):
@@ -174,7 +165,7 @@ def run(
                     discovered_any = bool(newly)
             yield from barrier.wait(ctx)
             # ---- merge / level bookkeeping --------------------------------
-            if optimized and is_leader and nhi > nlo:
+            if app.optimized and is_leader and nhi > nlo:
                 union = np.zeros(nhi - nlo, dtype=np.uint8)
                 for k in range(num_nodes):
                     part = yield from state.staging[k].read(
@@ -202,7 +193,7 @@ def run(
                 if count:
                     yield from state.go.add(ctx, level, count,
                                             site="bfs:go")
-            elif not optimized:
+            elif not app.optimized:
                 # clear my slice of the dying frontier for reuse
                 if vhi > vlo:
                     yield from cur.write(
@@ -227,21 +218,13 @@ def run(
         yield from dist.set(ctx, source, 0)
         yield from ctx.write(state.current[0].addr + source, b"\x01")
 
-    cluster.simulate(setup, proc)
-    elapsed = run_workers(cluster, proc, body, num_threads, nodes, migrate)
+    app.cluster.simulate(setup, app.proc)
+    elapsed = run_workers(app.cluster, app.proc, body, app.num_threads,
+                          app.nodes, app.migrate)
 
     def collect(ctx) -> Generator:
         result = yield from dist.read(ctx)
         return result
 
-    output = cluster.simulate(collect, proc)
-    return AppResult(
-        app="BFS",
-        variant=variant,
-        num_nodes=num_nodes,
-        num_threads=num_threads,
-        elapsed_us=elapsed,
-        output=output,
-        stats=proc.stats,
-        correct=bool((output == expected).all()),
-    )
+    output = app.cluster.simulate(collect, app.proc)
+    return app.result(output, elapsed, bool((output == expected).all()))

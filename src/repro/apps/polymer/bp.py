@@ -28,11 +28,8 @@ from repro.apps import workloads
 from repro.apps.common import (
     AdaptationInfo,
     AppResult,
-    check_variant,
-    fresh_process,
-    plan_nodes,
     run_workers,
-    workload_seed,
+    start_run,
 )
 from repro.apps.polymer.graph import edge_balanced_partitions, load_graph
 from repro.params import SimParams
@@ -87,33 +84,27 @@ def run(
 ) -> AppResult:
     """Run BP; output is the final belief vector, checked against the
     reference (float64 math on both sides, so allclose is tight)."""
-    check_variant(variant)
-    seed = workload_seed(params, 31) if seed is None else seed
-    cluster, proc, alloc = fresh_process(num_nodes, params)
-    if tracer is not None:
-        proc.attach_tracer(tracer)
-    nodes = plan_nodes(cluster, num_nodes)
-    num_threads = threads_per_node * num_nodes
-    migrate = variant != "unmodified"
-    optimized = variant == "optimized"
+    app = start_run("BP", variant, num_nodes, threads_per_node, params,
+                    tracer, seed, default_seed=31)
 
-    indptr, indices = workloads.rmat_graph(n_vertices, n_edges, seed=seed)
+    indptr, indices = workloads.rmat_graph(n_vertices, n_edges, seed=app.seed)
     n_vertices = len(indptr) - 1
-    rng = np.random.default_rng(seed + 1)
+    rng = np.random.default_rng(app.seed + 1)
     beliefs0 = rng.uniform(0.0, 1.0, n_vertices)
     expected = reference(indptr, indices, beliefs0, iters)
 
-    graph, edge_data = load_graph(alloc, indptr, indices)
+    graph, edge_data = load_graph(app.alloc, indptr, indices)
     beliefs = [
-        alloc_array(alloc, np.float32, n_vertices, name=f"beliefs{p}",
-                    page_aligned=optimized)
+        alloc_array(app.alloc, np.float32, n_vertices, name=f"beliefs{p}",
+                    page_aligned=app.optimized)
         for p in range(2)
     ]
-    flag = alloc_array(alloc, np.int64, 1, name="bp_flag",
-                       segment="globals", page_aligned=optimized)
-    barrier = Barrier(alloc, num_threads, name="bp", page_aligned=optimized)
+    flag = alloc_array(app.alloc, np.int64, 1, name="bp_flag",
+                       segment="globals", page_aligned=app.optimized)
+    barrier = Barrier(app.alloc, app.num_threads, name="bp",
+                      page_aligned=app.optimized)
 
-    thread_parts = edge_balanced_partitions(indptr, num_threads)
+    thread_parts = edge_balanced_partitions(indptr, app.num_threads)
     #: the hot footprint an n-node run spreads: edge lists (with their
     #: gather metadata) + both belief arrays, per node (drives the
     #: LLC-miss model in ctx.compute)
@@ -162,7 +153,7 @@ def run(
             else:
                 changed = False
             if changed:
-                if optimized:
+                if app.optimized:
                     # stage locally: publish once, at the last iteration
                     if it == iters - 1:
                         yield from flag.set(ctx, 0, 1, site="bp:flag")
@@ -177,21 +168,14 @@ def run(
             yield from graph.indices.write(ctx, 0, edge_data)
         yield from beliefs[0].write(ctx, 0, beliefs0)
 
-    cluster.simulate(setup, proc)
-    elapsed = run_workers(cluster, proc, body, num_threads, nodes, migrate)
+    app.cluster.simulate(setup, app.proc)
+    elapsed = run_workers(app.cluster, app.proc, body, app.num_threads,
+                          app.nodes, app.migrate)
 
     def collect(ctx) -> Generator:
         final = yield from beliefs[iters % 2].read(ctx)
         return final
 
-    output = cluster.simulate(collect, proc)
-    return AppResult(
-        app="BP",
-        variant=variant,
-        num_nodes=num_nodes,
-        num_threads=num_threads,
-        elapsed_us=elapsed,
-        output=output,
-        stats=proc.stats,
-        correct=bool(np.allclose(output, expected, rtol=1e-5, atol=1e-6)),
-    )
+    output = app.cluster.simulate(collect, app.proc)
+    return app.result(output, elapsed, bool(
+        np.allclose(output, expected, rtol=1e-5, atol=1e-6)))

@@ -25,11 +25,8 @@ from repro.apps import workloads
 from repro.apps.common import (
     AdaptationInfo,
     AppResult,
-    check_variant,
-    fresh_process,
-    plan_nodes,
     run_workers,
-    workload_seed,
+    start_run,
 )
 from repro.params import SimParams
 from repro.runtime.array import alloc_array
@@ -73,44 +70,38 @@ def run(
 ) -> AppResult:
     """Run GRP; returns an :class:`AppResult` whose output is the list of
     per-key occurrence counts (verified against the reference scan)."""
-    check_variant(variant)
-    seed = workload_seed(params, 7) if seed is None else seed
-    cluster, proc, alloc = fresh_process(num_nodes, params)
-    if tracer is not None:
-        proc.attach_tracer(tracer)
-    nodes = plan_nodes(cluster, num_nodes)
-    num_threads = threads_per_node * num_nodes
-    migrate = variant != "unmodified"
-    optimized = variant == "optimized"
+    app = start_run("GRP", variant, num_nodes, threads_per_node, params,
+                    tracer, seed, default_seed=7)
 
-    text = workloads.text_corpus(text_size, keys, seed=seed,
+    text = workloads.text_corpus(text_size, keys, seed=app.seed,
                                  plant_every=plant_every)
     expected = workloads.count_occurrences(text, keys)
     max_key = max(len(k) for k in keys)
 
     # ---- layout (where the variants differ) -----------------------------
-    text_arr = alloc_array(alloc, np.uint8, len(text), name="text",
+    text_arr = alloc_array(app.alloc, np.uint8, len(text), name="text",
                            page_aligned=True)
-    if optimized:
+    if app.optimized:
         # page-aligned counters and per-thread argument blocks
-        counters = alloc_array(alloc, np.int64, len(keys), name="counters",
+        counters = alloc_array(app.alloc, np.int64, len(keys), name="counters",
                                segment="globals", page_aligned=True)
         args = [
-            alloc_array(alloc, np.int64, 2, name=f"args{i}",
+            alloc_array(app.alloc, np.int64, 2, name=f"args{i}",
                         segment="globals", page_aligned=True)
-            for i in range(num_threads)
+            for i in range(app.num_threads)
         ]
     else:
         # the unmodified layout: counters and every thread's argument block
         # bump-allocated together -> all on one or two pages
-        counters = alloc_array(alloc, np.int64, len(keys), name="counters",
+        counters = alloc_array(app.alloc, np.int64, len(keys), name="counters",
                                segment="globals")
         args = [
-            alloc_array(alloc, np.int64, 2, name=f"args{i}", segment="globals")
-            for i in range(num_threads)
+            alloc_array(app.alloc, np.int64, 2, name=f"args{i}",
+                        segment="globals")
+            for i in range(app.num_threads)
         ]
 
-    part = (len(text) + num_threads - 1) // num_threads
+    part = (len(text) + app.num_threads - 1) // app.num_threads
 
     def body(ctx, wid: int) -> Generator:
         lo = int((yield from args[wid].get(ctx, 0, site="grp:args")))
@@ -122,7 +113,7 @@ def run(
             window = min(take + max_key - 1, len(text) - pos)
             raw = yield from ctx.read(text_arr.addr + pos, window,
                                       site="grp:scan")
-            if optimized:
+            if app.optimized:
                 # scan the chunk, staging counts locally (§V-C)
                 yield from ctx.compute(cpu_us=take * CPU_US_PER_BYTE,
                                        mem_bytes=take)
@@ -147,7 +138,7 @@ def run(
                     yield from counters.add(ctx, k, 1, site="grp:count")
                 yield from ctx.compute(cpu_us=slice_us, mem_bytes=slice_bytes)
             pos += take
-        if optimized:
+        if app.optimized:
             for k, found in enumerate(local):
                 if found:
                     yield from counters.add(ctx, k, found, site="grp:count")
@@ -155,31 +146,23 @@ def run(
     def setup(ctx) -> Generator:
         yield from text_arr.write(ctx, 0,
                                   np.frombuffer(text, dtype=np.uint8))
-        for i in range(num_threads):
+        for i in range(app.num_threads):
             yield from args[i].write(
                 ctx, 0,
                 np.array([i * part, min((i + 1) * part, len(text))],
                          dtype=np.int64),
             )
 
-    cluster.simulate(setup, proc)
-    elapsed = run_workers(cluster, proc, body, num_threads, nodes, migrate)
+    app.cluster.simulate(setup, app.proc)
+    elapsed = run_workers(app.cluster, app.proc, body, app.num_threads,
+                          app.nodes, app.migrate)
 
     def collect(ctx) -> Generator:
         values = yield from counters.read(ctx)
         return [int(v) for v in values]
 
-    output = cluster.simulate(collect, proc)
-    return AppResult(
-        app="GRP",
-        variant=variant,
-        num_nodes=num_nodes,
-        num_threads=num_threads,
-        elapsed_us=elapsed,
-        output=output,
-        stats=proc.stats,
-        correct=(output == expected),
-    )
+    output = app.cluster.simulate(collect, app.proc)
+    return app.result(output, elapsed, output == expected)
 
 
 def reference(text_size: int = 16 * 1024 * 1024,

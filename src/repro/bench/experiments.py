@@ -157,14 +157,14 @@ class FaultReport:
         return self.contended_mean_us / self.fast_mean_us
 
 
-def pagefault_micro(
-    duration_us: float = 100_000.0, params: Optional[SimParams] = None
-) -> FaultReport:
-    """Two threads on two nodes ping-ponging one global variable (§V-D)."""
+def pagefault_hammer(duration_us: float, params: Optional[SimParams] = None):
+    """Set up the §V-D microbenchmark: two threads on two nodes
+    ping-ponging one atomic global counter until *duration_us*.  Returns
+    ``(cluster, proc, var, threads)``; the caller joins the threads in
+    its own main."""
     cluster = DexCluster(num_nodes=2, params=params)
     proc = cluster.create_process()
-    alloc = MemoryAllocator(proc)
-    var = alloc.alloc_global(8, tag="shared_var")
+    var = MemoryAllocator(proc).alloc_global(8, tag="shared_var")
 
     def hammer(ctx, dest):
         count = 0
@@ -176,11 +176,18 @@ def pagefault_micro(
             count += 1
         return count
 
-    t1 = proc.spawn_thread(hammer, None)
-    t2 = proc.spawn_thread(hammer, 1)
+    threads = [proc.spawn_thread(hammer, None), proc.spawn_thread(hammer, 1)]
+    return cluster, proc, var, threads
+
+
+def pagefault_micro(
+    duration_us: float = 100_000.0, params: Optional[SimParams] = None
+) -> FaultReport:
+    """Two threads on two nodes ping-ponging one global variable (§V-D)."""
+    cluster, proc, var, threads = pagefault_hammer(duration_us, params)
 
     def main(ctx):
-        counts = yield from proc.join_all([t1, t2])
+        counts = yield from proc.join_all(threads)
         value = yield from ctx.read_i64(var)
         return counts, value
 

@@ -140,9 +140,6 @@ class ChaosController:
 
     # -- fail-stop -------------------------------------------------------
 
-    def is_crashed(self, node: int) -> bool:
-        return node in self.crashed
-
     def is_fenced(self, node: int) -> bool:
         """Dead for fabric purposes: fail-stopped, or declared failed and
         fenced off so a wrongly-suspected node cannot disturb reclaimed

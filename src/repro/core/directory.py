@@ -75,9 +75,6 @@ class PageEntry:
     #: told to retry because an operation was already in flight here)
     busy_retries: int = 0
 
-    def is_owner(self, node: int) -> bool:
-        return node in self.owners
-
 
 class DirectoryShard:
     """The slice of the coherence directory one node hosts: a

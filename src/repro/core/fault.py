@@ -278,12 +278,13 @@ class FaultHandler:
         frames.write(addr, new)
         return old
 
-    def atomic_add_i64(
-        self, node: int, tid: int, addr: int, delta: int, site: str = ""
+    def atomic_add(
+        self, node: int, tid: int, addr: int, delta, code: str, site: str = ""
     ) -> Generator:
-        """Specialised :meth:`atomic_update` for the dominant atomic: add
-        to a little-endian signed 64-bit word.  Same fault/sanitizer
-        semantics, no struct/closure round trip; returns the old value."""
+        """Specialised :meth:`atomic_update` for the dominant atomics: add
+        to a little-endian 8-byte word of ``struct`` code *code* (``"<q"``
+        int64, ``"<d"`` double).  Same fault/sanitizer semantics, no
+        closure round trip; returns the old value."""
         proc = self.proc
         page = self._page_size
         vpn = addr // page
@@ -302,31 +303,6 @@ class FaultHandler:
             proc.sanitizer.on_access(node, tid, vpn, True, site)
         frame = state.frames.frame(vpn)
         offset = addr - vpn * page
-        old = unpack_from("<q", frame, offset)[0]
-        pack_into("<q", frame, offset, old + delta)
-        return old
-
-    def atomic_add_f64(
-        self, node: int, tid: int, addr: int, delta: float, site: str = ""
-    ) -> Generator:
-        """IEEE-double twin of :meth:`atomic_add_i64` (the accumulator
-        adds of the Figure-2 apps); returns the old value."""
-        proc = self.proc
-        page = self._page_size
-        vpn = addr // page
-        if (addr + 7) // page != vpn:
-            raise ValueError(
-                f"atomic update crosses a page boundary: {addr:#x}+8"
-            )
-        state = proc.node_state(node)
-        pte = state.page_table.lookup(vpn)
-        if pte is None or pte.state is not PageState.EXCLUSIVE:
-            if not self.permits(node, vpn, True):
-                yield from self._fault(node, tid, vpn, True, site)
-        if proc.sanitizer is not None:
-            proc.sanitizer.on_access(node, tid, vpn, True, site)
-        frame = state.frames.frame(vpn)
-        offset = addr - vpn * page
-        old = unpack_from("<d", frame, offset)[0]
-        pack_into("<d", frame, offset, old + delta)
+        old = unpack_from(code, frame, offset)[0]
+        pack_into(code, frame, offset, old + delta)
         return old

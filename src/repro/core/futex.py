@@ -116,9 +116,6 @@ class FutexTable:
                 del self._queues[addr]
         return woken
 
-    def waiter_count(self, addr: int) -> int:
-        return len(self._queues.get(addr, ()))
-
     # ------------------------------------------------------------------
     # fail-stop recovery hooks (see repro.chaos.recovery)
     # ------------------------------------------------------------------

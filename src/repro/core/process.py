@@ -341,8 +341,3 @@ class DexProcess:
     def attach_tracer(self, tracer) -> None:
         """Install a page-fault tracer (see :mod:`repro.tools.tracer`)."""
         self.tracer = tracer
-
-    def memory_bytes(self, node: int, addr: int, nbytes: int) -> bytes:
-        """Test/diagnostic helper: raw frame bytes at *node* without going
-        through the protocol."""
-        return self.node_state(node).frames.read(addr, nbytes)

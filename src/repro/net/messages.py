@@ -238,11 +238,6 @@ def recycle_message(msg: Message) -> None:
         _freelist.append(msg)
 
 
-def freelist_size() -> int:
-    """Current number of parked messages (diagnostics/tests)."""
-    return len(_freelist)
-
-
 #: shared payloads for fixed single-field replies; receivers treat
 #: payloads as read-only (there is no payload mutation in the tree), so
 #: one dict per outcome saves an allocation on every retry/redirect/ack

@@ -104,33 +104,15 @@ def _sim_params(ns: argparse.Namespace):
 
 def _run_pagefault(ns: argparse.Namespace):
     """The §V-D microbenchmark: two threads on two nodes ping-ponging one
-    atomic counter.  Built here (not via repro.bench.experiments) so the
-    CLI holds the cluster and can read its tracer directly."""
-    from repro.core import DexCluster
-    from repro.runtime import MemoryAllocator
+    atomic counter.  Runs its own main (no final read of the counter) so
+    the CLI holds the cluster and can read its tracer directly."""
+    from repro.bench.experiments import pagefault_hammer
 
-    params = _sim_params(ns)
-    cluster = DexCluster(num_nodes=2, params=params)
-    proc = cluster.create_process()
-    alloc = MemoryAllocator(proc)
-    var = alloc.alloc_global(8, tag="shared_var")
     duration = ns.duration_us
-
-    def hammer(ctx, dest):
-        count = 0
-        if dest is not None:
-            yield from ctx.migrate(dest)
-        while ctx.now < duration:
-            yield from ctx.atomic_add_i64(var, 1, site="hammer")
-            yield from ctx.compute(cpu_us=0.1)
-            count += 1
-        return count
-
-    t1 = proc.spawn_thread(hammer, None)
-    t2 = proc.spawn_thread(hammer, 1)
+    cluster, proc, _, threads = pagefault_hammer(duration, _sim_params(ns))
 
     def main(ctx):
-        yield from proc.join_all([t1, t2])
+        yield from proc.join_all(threads)
 
     cluster.simulate(main, proc)
     tracer = cluster.tracer

@@ -28,7 +28,7 @@ import dataclasses
 import json
 from typing import Any, Dict, Optional
 
-from repro.obs.metrics import Histogram
+from repro.obs.metrics import Histogram, counter_totals
 
 __all__ = [
     "MANIFEST_FORMAT",
@@ -87,17 +87,11 @@ def build_manifest(
     params = cluster.params
     procs = list(cluster.processes.values())
 
-    counters: Dict[str, float] = {}
+    counters = counter_totals(proc.stats.registry for proc in procs)
     directory: Dict[str, int] = {}
     fault_all: Optional[Histogram] = None
     fault_by_mode: Dict[str, Histogram] = {}
     for proc in procs:
-        reg = proc.stats.registry
-        for name in reg.names():
-            metric = reg.get(name)
-            if metric.kind != "counter":
-                continue
-            counters[name] = counters.get(name, 0) + metric.total()
         for home, served in proc.stats.directory_requests.items():
             key = str(home)
             directory[key] = directory.get(key, 0) + served

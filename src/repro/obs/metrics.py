@@ -313,6 +313,17 @@ class Histogram(_LabeledMixin):
         }
 
 
+def counter_totals(registries: Iterable["MetricsRegistry"]) -> Dict[str, float]:
+    """Every counter of every registry summed by name, in first-seen order
+    (each process of a cluster keeps its own registry)."""
+    totals: Dict[str, float] = {}
+    for reg in registries:
+        for name, metric in reg._metrics.items():
+            if metric.kind == "counter":
+                totals[name] = totals.get(name, 0) + metric.total()
+    return totals
+
+
 _METRIC_KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
 
 

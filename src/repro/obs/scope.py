@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Tuple
 
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, counter_totals
 from repro.obs.ring import SeriesRing
 
 __all__ = ["DexScope", "recent_scopes", "reset_recent"]
@@ -254,13 +254,8 @@ class DexScope:
 
         # MetricsRegistry snapshot: every nonzero process counter, as a
         # cumulative series (agg="last" keeps the latest total per point)
-        totals: Dict[str, float] = {}
-        for proc in cluster.processes.values():
-            reg = proc.stats.registry
-            for name in reg.names():
-                metric = reg.get(name)
-                if metric.kind == "counter":
-                    totals[name] = totals.get(name, 0.0) + metric.total()
+        totals = counter_totals(
+            proc.stats.registry for proc in cluster.processes.values())
         for name, value in totals.items():
             if value or f"stats.{name}" in self.series:
                 push(f"stats.{name}", t, float(value), "last")

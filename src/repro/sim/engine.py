@@ -630,10 +630,6 @@ class Engine:
     def any_of(self, events: Iterable[Event], name: str = "") -> AnyOf:
         return AnyOf(self, events, name=name)
 
-    def trigger_at(self, when: float, event: Event, value: Any = None) -> None:
-        """Succeed *event* at absolute simulated time *when*."""
-        self._schedule_at(when, event.succeed, value)
-
     # -- main loop --------------------------------------------------------
 
     def run(self, until: Optional[float] = None, max_events: int = 50_000_000) -> float:

@@ -69,9 +69,10 @@ def test_get_app_rejects_unknown():
         get_app("NOPE")
 
 
-def test_variant_validation():
-    with pytest.raises(ValueError):
-        get_app("GRP").run(num_nodes=1, variant="bogus", **TINY["GRP"])
+@pytest.mark.parametrize("app", APP_NAMES)
+def test_variant_validation(app):
+    with pytest.raises(ValueError, match="variant must be one of"):
+        get_app(app).run(num_nodes=1, variant="bogus", **TINY[app])
 
 
 def test_app_four_nodes_spot_check():
