@@ -88,6 +88,11 @@ class _ComputeAwait:
     Only safe when the sleep cannot be interrupted (an iterator has no
     ``throw``/``close``, so an Interrupt would skip the release); the
     caller gates on fault injection being off, the sole interrupt source.
+
+    Not used at all when the sleep would be the very next dispatch:
+    :meth:`ThreadContext.compute` then advances the clock in place
+    (``Engine._advance``, conditions (a)-(e) there) and returns an empty
+    tuple, which ``yield from`` consumes without a Python-level call.
     """
 
     __slots__ = ("timeout", "cores", "_yielded")
@@ -163,6 +168,10 @@ class ThreadContext:
         self._sleep = None
         #: reusable awaiter for the no-generator compute fast path
         self._caw = _ComputeAwait()
+        #: queue entry of the last sleep the fast path scheduled; while the
+        #: engine dispatches it, this thread is the only one running (see
+        #: Engine._advance)
+        self._witness: Optional[list] = None
         #: reusable Immediate for synchronous fast-path returns (consumed
         #: by ``yield from`` before the next call can overwrite it)
         self._imm = Immediate(None)
@@ -232,6 +241,16 @@ class ThreadContext:
 
         Returns the generator directly (no pass-through frame): ``yield
         from ctx.compute(...)`` delegates to it immediately.
+
+        The cpu-only, interrupt-free case with a free core takes no
+        generator (see :class:`_ComputeAwait`), and does not even sleep
+        when the sleep would be the very next dispatch: the clock then
+        advances in place and the thread keeps running.  That requires
+        (a) the engine to be dispatching this context's own last sleep
+        entry, (b) an empty fast lane and a strictly later heap head,
+        (c) the new time within ``run(until=...)`` and before the next
+        sampler deadline, (d) no ``on_process_waiting`` hook, and (e)
+        ``max_events`` budget left; see ``Engine._advance``.
         """
         # compute is the hottest instrumented call site: the tracing-off
         # path must stay a single None check, so no maybe_span() here
@@ -243,7 +262,8 @@ class ThreadContext:
                 cores = self._nodes[self.thread.current_node].cores
                 if cores._in_use < cores.capacity:
                     cores._in_use += 1
-                    if cpu_us > 0:
+                    engine = self.engine
+                    if cpu_us > 0 and not engine._advance(self._witness, cpu_us):
                         sleep = self._sleep
                         if sleep is not None and sleep._done:
                             # inlined Timeout.rearm (hottest call site)
@@ -253,28 +273,30 @@ class ThreadContext:
                             sleep._callbacks = []
                             sleep.delay = cpu_us
                             sleep._cancelled = False
-                            engine = self.engine
                             engine._seq += 1
                             sleep._entry = entry = [
                                 engine.now + cpu_us, engine._seq, sleep._fire, (None,)
                             ]
                             _heappush(engine._queue, entry)
                         else:
-                            self._sleep = sleep = self.engine.timeout(cpu_us)
+                            self._sleep = sleep = engine.timeout(cpu_us)
+                            entry = sleep._entry
+                        self._witness = entry
                         aw = self._caw
                         aw.timeout = sleep
                         aw.cores = cores
                         aw._yielded = False
                         return aw
-                    # zero-duration compute: slot taken and released with
-                    # no yield, exactly like the generator path
+                    # zero-duration compute, or the sleep was the next
+                    # dispatch and the clock advanced in place: the slot is
+                    # taken and released with no yield, exactly like the
+                    # generator path; ``yield from ()`` then returns None
+                    # without leaving C
                     if cores._waiters:
                         cores._waiters.popleft().succeed()
                     else:
                         cores._in_use -= 1
-                    imm = self._imm
-                    imm.value = None
-                    return imm
+                    return ()
             return self._compute_impl(cpu_us, mem_bytes, working_set)
         return self._compute_traced(obs, cpu_us, mem_bytes, working_set)
 

@@ -434,6 +434,9 @@ class Engine:
         "tracer",
         "_fastlane_on",
         "_inline",
+        "_dispatching",
+        "_until",
+        "_budget",
         "events_dispatched",
     )
 
@@ -481,6 +484,13 @@ class Engine:
         self.tracer: Optional[Any] = None
         self._fastlane_on = fastlane
         self._inline = inline
+        #: what run() is doing right now, for :meth:`_advance`: the queue
+        #: entry being dispatched (None between runs), the ``until`` bound
+        #: (+inf for none), and the dispatches that may still start after
+        #: the current one before ``max_events`` trips
+        self._dispatching: Optional[list] = None
+        self._until = _INF
+        self._budget = 0
         #: total dispatches across all run() calls (perf accounting)
         self.events_dispatched = 0
 
@@ -604,6 +614,48 @@ class Engine:
         heapq.heapify(self._queue)
         self._cancelled_entries = 0
 
+    def _advance(self, witness: Optional[list], delay: float) -> bool:
+        """Advance the clock by *delay* in place, as if a private sleep of
+        *delay* had been scheduled, dispatched, and had resumed its sole
+        waiter — or return False, and the caller sleeps for real.
+
+        The in-place advance is taken only when that sleep would be the
+        very next dispatch, so skipping the suspension changes neither
+        order nor times:
+
+        (a) *witness* — the caller's previous private sleep entry — is the
+            entry being dispatched right now, so the caller was resumed by
+            it and nothing else runs later in this dispatch (a multi-waiter
+            ``_run_callbacks`` dispatch never matches: its first waiter
+            must not move the clock under the others);
+        (b) the fast lane is empty and the heap head is strictly later;
+        (c) the new time is within ``until`` and strictly before the next
+            sampler deadline;
+        (d) no ``on_process_waiting`` hook would have seen the wait;
+        (e) ``max_events`` would still let the sleep be dispatched.
+
+        The advance consumes one sequence number and counts as one
+        dispatch, exactly like the sleep it replaces.  With the
+        ``engine_inline`` knob off a sleep resumes its waiter through a
+        separate fast-lane entry, so (a) never holds."""
+        if witness is None or witness is not self._dispatching:
+            return False
+        when = self.now + delay
+        queue = self._queue
+        if (
+            self._fastlane
+            or (queue and queue[0][0] <= when)
+            or when > self._until
+            or when >= self._next_sample
+            or self._hooks_waiting
+            or self._budget <= 0
+        ):
+            return False
+        self._seq += 1
+        self._budget -= 1
+        self.now = when
+        return True
+
     # -- public factories ------------------------------------------------
 
     def event(self, name: str = "") -> Event:
@@ -642,11 +694,12 @@ class Engine:
         if self._running:
             raise SimulationError("run() is not reentrant")
         self._running = True
-        dispatched = 0
         queue = self._queue
         fastlane = self._fastlane
         heappop = heapq.heappop
-        limit = _INF if until is None else until
+        self._until = limit = _INF if until is None else until
+        # dispatches that may still start; _advance() draws on it too
+        self._budget = budget = max_events
         next_sample = self._next_sample
         try:
             while True:
@@ -690,15 +743,23 @@ class Engine:
                 self.now = when
                 if when >= next_sample:
                     next_sample = self._fire_samplers(when)
+                self._dispatching = entry
+                self._budget = budget - 1
                 fn(*args)
-                dispatched += 1
-                if dispatched >= max_events:
+                budget = self._budget
+                if budget <= 0:
                     raise SimulationError(
                         f"exceeded max_events={max_events}; likely a livelock"
                     )
         finally:
             self._running = False
-            self.events_dispatched += dispatched
+            self._dispatching = None
+            left = self._budget
+            if left < budget:
+                # fn raised: its own dispatch does not count, the clock
+                # advances it made before raising do
+                left += 1
+            self.events_dispatched += max_events - left
         return self.now
 
     def run_process(self, generator: Generator, name: str = "") -> Any:

@@ -3,6 +3,8 @@ not semantics.  Every Figure-2 app must produce a bit-identical run —
 same simulated time, same fault statistics — with each fast path
 disabled: the same-time FIFO fast lane, the inline-resume collapse, and
 the message freelist.  Both coherence-directory backends are covered.
+The §V-D ping-pong, the one workload whose hot loop is the in-place
+clock advance of the cpu-only compute path, gets its own differential.
 
 The workloads are scaled far below the bench presets: the goal is to
 drive every protocol path through both engine configurations, not to
@@ -11,6 +13,8 @@ measure anything.
 
 import pytest
 
+from repro import SimParams
+from repro.bench.experiments import pagefault_hammer
 from repro.bench.runner import run_point
 from repro.net import messages
 
@@ -62,6 +66,42 @@ def test_fast_paths_are_behaviour_preserving(app, backend, monkeypatch):
     monkeypatch.setenv("DEX_MSG_FREELIST", "0")
     assert run_digest(app, backend) == reference, \
         f"{app}/{backend}: message freelist changed behaviour"
+
+
+def pingpong_digest(duration_us=20_000.0):
+    """The §V-D hammer for *duration_us* -> (observables, dispatches)."""
+    # observers pinned off: the dispatch count is pinned below
+    params = SimParams(sanitize="off", trace="off", lens="off", scope="off",
+                       chaos="off")
+    cluster, proc, var, threads = pagefault_hammer(duration_us, params)
+
+    def main(ctx):
+        counts = yield from proc.join_all(threads)
+        value = yield from ctx.read_i64(var)
+        return counts, value
+
+    counts, value = cluster.simulate(main, proc)
+    leaders = [r for r in proc.stats.fault_latencies if not r.coalesced]
+    digest = {
+        "adds": sum(counts),
+        "value": value,
+        "leader_faults": len(leaders),
+        "latency_sum_us": round(sum(r.latency_us for r in leaders), 6),
+        "now": cluster.engine.now,
+    }
+    return digest, cluster.engine.events_dispatched
+
+
+def test_pingpong_clock_advance_is_behaviour_preserving(monkeypatch):
+    monkeypatch.delenv("DEX_ENGINE_INLINE", raising=False)
+    reference, dispatched = pingpong_digest()
+    assert reference["adds"] == reference["value"] > 100_000
+    # an in-place clock advance counts as the dispatch it replaces, so
+    # this is also the count of the run where every compute sleeps
+    assert dispatched == 187_279
+
+    monkeypatch.setenv("DEX_ENGINE_INLINE", "0")
+    assert pingpong_digest()[0] == reference
 
 
 def test_freelist_knob_reaches_network(monkeypatch):

@@ -1,11 +1,13 @@
 """Edge cases of the DexSpeed engine internals: the same-time FIFO fast
 lane, tagged-entry timeout cancellation with heap compaction, the
-``run(until)`` boundary (including the fast-lane spill), and the inline
-resume — each exercised under both knob settings where the knob changes
-the code path."""
+``run(until)`` boundary (including the fast-lane spill), the inline
+resume, and the in-place clock advance of the cpu-only compute path —
+each exercised under both knob settings where the knob changes the code
+path."""
 
 import pytest
 
+from conftest import make_cluster
 from repro.sim import Engine
 from repro.sim.engine import SimulationError
 
@@ -240,6 +242,21 @@ def test_max_events_guard_in_both_modes(knobs):
         eng.run(max_events=500)
 
 
+def test_a_raising_dispatch_is_not_counted():
+    eng = Engine()
+
+    def boom(_event):
+        raise RuntimeError("callback failed")
+
+    eng.timeout(1.0).add_callback(boom)
+    eng.timeout(2.0)
+    with pytest.raises(RuntimeError):
+        eng.run()
+    assert eng.events_dispatched == 0
+    assert eng.run() == 2.0
+    assert eng.events_dispatched == 1
+
+
 @pytest.mark.parametrize("knobs", KNOBS)
 def test_events_dispatched_accumulates(knobs):
     eng = Engine(**knobs)
@@ -254,3 +271,212 @@ def test_events_dispatched_accumulates(knobs):
     assert first > 0
     eng.run()
     assert eng.events_dispatched > first
+
+
+# ---------------------------------------------------------------------------
+# in-place clock advance (Engine._advance via the cpu-only compute path)
+# ---------------------------------------------------------------------------
+
+#: observers pinned off so every configuration of the suite reaches the
+#: cpu-only compute path (a tracer, a chaos controller or a wait-for hook
+#: each close it for their own reasons)
+QUIET = dict(sanitize="off", trace="off", lens="off", scope="off", chaos="off")
+
+def _in_mode(monkeypatch, mode):
+    """Put the engine in *mode*: "advance" (the default engine),
+    "no-advance" (inline resume on but every in-place advance refused:
+    the dispatch shape without it, with the same dispatch counts) or
+    "inline-off" (DEX_ENGINE_INLINE=0).  Returns a counter of the
+    advances taken."""
+    taken = [0]
+    monkeypatch.delenv("DEX_ENGINE_INLINE", raising=False)
+    if mode == "inline-off":
+        monkeypatch.setenv("DEX_ENGINE_INLINE", "0")
+    original = Engine._advance
+
+    def counted(self, witness, delay):
+        if mode == "no-advance":
+            return False
+        advanced = original(self, witness, delay)
+        taken[0] += advanced
+        return advanced
+
+    monkeypatch.setattr(Engine, "_advance", counted)
+    return taken
+
+
+def _spinner_cluster(trace, iters):
+    """A one-node cluster with a lone thread looping 1 us computes and
+    recording the clock after each."""
+    cluster = make_cluster(num_nodes=1, **QUIET)
+    proc = cluster.create_process()
+
+    def spinner(ctx):
+        done = 0
+        while done < iters:
+            yield from ctx.compute(cpu_us=1.0)
+            trace.append(ctx.now)
+            done += 1
+
+    proc.spawn_thread(spinner)
+    return cluster
+
+
+def _multi_waiter_run(monkeypatch, mode):
+    taken = _in_mode(monkeypatch, mode)
+    cluster = make_cluster(num_nodes=1, **QUIET)
+    proc = cluster.create_process()
+    gate = cluster.engine.event()
+    clocks = []
+
+    def waiter(ctx, cpu_us):
+        yield from ctx.compute(cpu_us=1.0)   # arms the private sleep
+        yield gate
+        for _ in range(6):       # the slowest waiter ends alone
+            yield from ctx.compute(cpu_us=cpu_us)
+            clocks.append((ctx.tid, ctx.now))
+
+    def main(ctx):
+        threads = [proc.spawn_thread(waiter, 0.25 * (i + 1)) for i in range(4)]
+        yield from ctx.compute(cpu_us=5.0)
+        gate.succeed()           # wakes all four in one dispatch
+        yield from proc.join_all(threads)
+
+    cluster.simulate(main, proc)
+    engine = cluster.engine
+    return clocks, engine.now, (engine.events_dispatched, engine._seq), taken[0]
+
+
+def test_advance_never_moves_the_clock_under_co_woken_waiters(monkeypatch):
+    """One succeed() resumes every waiter of an Event in one dispatch; the
+    first waiter's compute must not advance the clock before the others
+    have resumed at the wake-up instant."""
+    clocks, now, counts, taken = _multi_waiter_run(monkeypatch, "advance")
+    first = {}
+    for tid, clock in clocks:
+        first.setdefault(tid, clock)
+    # all four resumed at t=5.0, then computed 0.25 / 0.5 / 0.75 / 1.0 us
+    assert first == {1: 5.25, 2: 5.5, 3: 5.75, 4: 6.0}
+    assert taken > 0             # the path under test was reached
+    assert _multi_waiter_run(monkeypatch, "inline-off")[:2] == (clocks, now)
+    assert _multi_waiter_run(monkeypatch, "no-advance")[:3] == (
+        clocks, now, counts)
+
+
+def test_advance_waits_for_same_instant_wakeups(monkeypatch):
+    """A wake-up the running thread schedules for the current instant sits
+    in the fast lane; it must run before the thread's next compute moves
+    the clock on."""
+    def run(mode):
+        taken = _in_mode(monkeypatch, mode)
+        cluster = make_cluster(num_nodes=1, **QUIET)
+        proc = cluster.create_process()
+        ping = cluster.engine.event()
+        seen = []
+
+        def sleeper(ctx):
+            yield ping
+            seen.append(("sleeper", ctx.now))
+
+        def main(ctx):
+            proc.spawn_thread(sleeper)
+            yield from ctx.compute(cpu_us=1.0)
+            yield from ctx.compute(cpu_us=1.0)   # advances in place
+            ping.succeed()
+            yield from ctx.compute(cpu_us=1.0)   # must sleep
+            seen.append(("main", ctx.now))
+
+        cluster.simulate(main, proc)
+        engine = cluster.engine
+        return seen, (engine.events_dispatched, engine._seq), taken[0]
+
+    seen, counts, taken = run("advance")
+    assert seen == [("sleeper", 2.0), ("main", 3.0)]
+    assert taken > 0
+    assert run("inline-off")[0] == seen
+    assert run("no-advance")[:2] == (seen, counts)
+
+
+def _max_events_run(monkeypatch, mode):
+    taken = _in_mode(monkeypatch, mode)
+    trace = []
+    # bounded, so a budget that never runs out fails instead of hanging
+    cluster = _spinner_cluster(trace, iters=10_000)
+    with pytest.raises(SimulationError, match="max_events"):
+        cluster.engine.run(max_events=500)
+    engine = cluster.engine
+    return trace, engine.now, (engine.events_dispatched, engine._seq), taken[0]
+
+
+def test_advance_respects_max_events(monkeypatch):
+    trace, now, counts, taken = _max_events_run(monkeypatch, "advance")
+    assert taken > 0
+    assert counts[0] == 500
+    assert _max_events_run(monkeypatch, "no-advance")[:3] == (trace, now, counts)
+    _max_events_run(monkeypatch, "inline-off")   # raises there too
+
+
+@pytest.mark.parametrize("until", [50.0, 50.5])
+def test_advance_stops_at_until_and_resumes(monkeypatch, until):
+    def run(mode):
+        taken = _in_mode(monkeypatch, mode)
+        trace = []
+        cluster = _spinner_cluster(trace, iters=100)
+        engine = cluster.engine
+        parked = engine.run(until=until)
+        first = list(trace)
+        engine.run()
+        counts = (engine.events_dispatched, engine._seq)
+        return parked, first, trace, engine.now, counts, taken[0]
+
+    parked, first, trace, now, counts, taken = run("advance")
+    assert parked == until
+    assert first[-1] == 50.0
+    assert taken > 0
+    assert run("inline-off")[:4] == (parked, first, trace, now)
+    assert run("no-advance")[:5] == (parked, first, trace, now, counts)
+
+
+def test_advance_respects_sampler_deadlines(monkeypatch):
+    def run(mode):
+        taken = _in_mode(monkeypatch, mode)
+        trace = []
+        cluster = _spinner_cluster(trace, iters=100)
+        engine = cluster.engine
+        fired = []
+        engine.add_sampler(
+            lambda deadline: fired.append((deadline, engine.now, len(trace))),
+            7.5,
+        )
+        engine.run()
+        return fired, trace, (engine.events_dispatched, engine._seq), taken[0]
+
+    fired, trace, counts, taken = run("advance")
+    assert [deadline for deadline, _, _ in fired] == [7.5 * k for k in range(1, 14)]
+    assert taken > 0
+    assert run("inline-off")[:2] == (fired, trace)
+    assert run("no-advance")[:3] == (fired, trace, counts)
+
+
+class _WaitCounter:
+    def __init__(self):
+        self.waits = 0
+
+    def on_process_waiting(self, process, event):
+        self.waits += 1
+
+
+def test_advance_yields_to_waiting_hooks(monkeypatch):
+    def run(mode):
+        taken = _in_mode(monkeypatch, mode)
+        trace = []
+        cluster = _spinner_cluster(trace, iters=100)
+        hook = _WaitCounter()
+        cluster.engine.add_hook(hook)
+        cluster.engine.run()
+        return hook.waits, trace, taken[0]
+
+    waits, trace, taken = run("advance")
+    assert taken == 0            # every compute is a wait the hook sees
+    assert run("inline-off")[:2] == (waits, trace)
+    assert waits >= 100
